@@ -76,10 +76,13 @@ serve-smoke:
 crash-smoke:
 	sh scripts/crash_smoke.sh
 
-# Short randomized-config fuzz of the sanitizer (CI runs this as a
-# smoke; drop -fuzztime for an open-ended session).
+# Short fuzz smokes (CI runs these; drop -fuzztime for an open-ended
+# run): randomized configs under the sanitizer, then arbitrary
+# bytes through the result store's entry decoder (quarantine, never
+# panic).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTimingConfig' -fuzztime 20s ./internal/check/
+	$(GO) test -run '^$$' -fuzz 'FuzzParseEntry' -fuzztime 15s ./internal/store/
 
 # Deliberately regenerate the golden run-report fixtures after a
 # change that intentionally alters simulation results (see

@@ -33,7 +33,7 @@ type Options struct {
 	// picking up cells when it is done, and in-flight cells abort at
 	// their next watchdog check (system.Limits.Ctx). The CLI wires its
 	// SIGINT/SIGTERM handler here so an interrupted campaign exits
-	// through the normal error path — journal and store keep every
+	// through the normal error path — the result store keeps every
 	// completed cell, and artifacts flush marked aborted. Nil means
 	// uncancellable, with no watchdog armed on otherwise-unbounded runs.
 	Ctx context.Context
@@ -61,7 +61,7 @@ type Options struct {
 	Progress func(done, total int)
 	// Res, when non-nil, arms resilient sweep execution: panic
 	// isolation, per-run limits, retries, failure collection, and
-	// journaled resume. Nil selects the original fail-fast path with
+	// store-backed resume. Nil selects the original fail-fast path with
 	// zero overhead.
 	Res *Resilience
 	// Exp names the running experiment for profiling: every sweep cell
@@ -269,8 +269,8 @@ type cellMetrics struct {
 // With o.Res nil, the sweep is fail-fast with no overhead and the
 // returned mask is nil. With o.Res armed, the sweep runs resiliently:
 // each cell is one sweep cell under parallel.MapPolicy (panic
-// isolation, retries, per-run limits via the lim argument, journal
-// lookup/record, fault injection), failures are logged as report
+// isolation, retries, per-run limits via the lim argument, store
+// lookup/checkpoint, fault injection), failures are logged as report
 // records, and under collect/degrade the sweep completes with failed
 // cells marked true in the mask (their Result is the zero value).
 func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Result, error)) ([]system.Result, []bool, error) {
@@ -349,25 +349,9 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 	}
 	results, fails, err := parallel.MapPolicy(o.ctx(), o.Parallelism, idx, pol,
 		func(_ context.Context, i int) (system.Result, error) {
-			// Checkpoint lookups precede injection: a replayed cell is not
-			// re-run, so it cannot re-fire an injected fault. The store is
-			// consulted before the journal — it is the cross-campaign
-			// authority; the journal covers cells the store lost (or was
-			// never given).
+			// The store lookup precedes injection: a replayed cell is not
+			// re-run, so it cannot re-fire an injected fault.
 			if res, ok := r.storeLookup(sweep, i); ok {
-				// Keep the journal self-contained: a store-served cell is
-				// journaled too (skipped if already there), so the journal
-				// alone can still resume this campaign.
-				r.journalCheckpoint(sweep, i, res)
-				if agg != nil {
-					agg.CellReplayed(aggSweep, i)
-				}
-				note()
-				return res, nil
-			}
-			if res, ok := r.journalLookup(sweep, i); ok {
-				// Heal the store: the entry was missing or quarantined.
-				r.storeCheckpoint(sweep, i, res)
 				if agg != nil {
 					agg.CellReplayed(aggSweep, i)
 				}
@@ -393,7 +377,7 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 			// re-fail identically) on resume. A checkpoint that cannot
 			// persist degrades — one warning, persistence disabled — and
 			// never fails the healthy cell it was recording.
-			r.checkpoint(sweep, i, res)
+			r.storeCheckpoint(sweep, i, res)
 			note()
 			return res, nil
 		})

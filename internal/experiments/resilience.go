@@ -3,12 +3,13 @@ package experiments
 // Sweep resilience: Options.Res arms the resilient execution path of
 // mapRuns — per-cell panic isolation and retries (parallel.MapPolicy),
 // per-run limits (system.Limits), a structured failure log that flows
-// into the Report's failures section, and an on-disk journal that lets
-// an interrupted or partially failed campaign resume from its completed
-// cells. Cells are addressed as (sweep, cell): experiments begin their
-// sweeps serially in deterministic order, so the addressing — and
-// therefore the journal and the failure log — is stable across runs
-// and across -j widths.
+// into the Report's failures section, and checkpointing into the
+// content-addressed result store that lets an interrupted or partially
+// failed campaign resume from its completed cells. Cells are addressed
+// as (sweep, cell): experiments begin their sweeps serially in
+// deterministic order, so the addressing — and therefore the store
+// entries and the failure log — is stable across runs and across -j
+// widths.
 
 import (
 	"context"
@@ -43,6 +44,17 @@ const (
 // deterministic.
 const injectCheckEvents = 256
 
+// CampaignKey identifies a campaign within the result store: experiment
+// name plus every option that influences results, plus the report
+// schema version (a schema bump invalidates old checkpoints).
+// Parallelism is deliberately excluded — results are identical at any
+// -j width.
+func CampaignKey(experiment string, o Options) string {
+	o = o.withDefaults()
+	return fmt.Sprintf("%s|schema=%d|quick=%v|instr=%d|cores=%d|seed=%d",
+		experiment, reportSchemaVersion, o.Quick, o.Instr, o.Cores, o.Seed)
+}
+
 // Resilience configures sweep survival for one experiment campaign.
 // The zero value of each field is the conservative default; a nil
 // *Resilience in Options selects the original fail-fast path with no
@@ -62,23 +74,18 @@ type Resilience struct {
 	// (system.Limits.WallClock / EventBudget).
 	Timeout     time.Duration
 	EventBudget uint64
-	// Journal, when non-nil, checkpoints completed cells so the
-	// campaign can resume.
-	Journal *Journal
-	// Store, when non-nil, is the cross-campaign content-addressed
-	// result store: completed cells are committed to it and looked up
-	// before the journal, so identical cells are never simulated twice —
-	// across resumes, across processes, across campaigns sharing the
-	// directory. StoreKey is this campaign's key within it
+	// Store, when non-nil, checkpoints completed cells into the
+	// content-addressed result store and replays them on later runs of
+	// the same campaign — across resumes, -j widths and processes
+	// sharing the directory. StoreKey is this campaign's key within it
 	// (CampaignKey), binding entries to everything that influences
-	// results.
+	// results; different campaigns never share entries.
 	Store    *store.Store
 	StoreKey string
 	// OnDegrade, when non-nil, receives the one-line warning emitted
-	// when a persistence path degrades mid-campaign (journal or store
-	// write failure). Nil prints to stderr. Each path warns at most
-	// once; the campaign itself never fails because its checkpoints
-	// cannot persist.
+	// when store writes fail mid-campaign. Nil prints to stderr. It
+	// fires at most once; the campaign itself never fails because its
+	// checkpoints cannot persist.
 	OnDegrade func(msg string)
 	// Log accumulates structured failure records across the campaign's
 	// sweeps (created on first use if nil).
@@ -87,7 +94,7 @@ type Resilience struct {
 	inject map[int]string // campaign cell index -> injected fault kind
 	flaky  sync.Map       // cells whose injected transient already fired
 
-	journalWarn, storeWarn sync.Once
+	storeWarn sync.Once
 
 	mu     sync.Mutex
 	sweeps int
@@ -149,18 +156,8 @@ func (r *Resilience) beginSweep(total int) (base, sweep int) {
 	return base, sweep
 }
 
-// journalLookup consults the journal, if any.
-func (r *Resilience) journalLookup(sweep, cell int) (system.Result, bool) {
-	if r.Journal == nil {
-		return system.Result{}, false
-	}
-	return r.Journal.lookup(sweep, cell)
-}
-
-// storeCellAddr is the cell's address within the result store. It is
-// derivable from (sweep, cell) alone — no job description — so journal
-// migration and lookup agree on it before any sweep enumerates its
-// jobs.
+// storeCellAddr is the cell's address within the result store,
+// derived from (sweep, cell) alone.
 func storeCellAddr(sweep, cell int) string {
 	return fmt.Sprintf("sweep %d cell %d", sweep, cell)
 }
@@ -197,24 +194,11 @@ func (r *Resilience) degrade(msg string) {
 	fmt.Fprintln(os.Stderr, "microbank: "+msg)
 }
 
-// journalCheckpoint records a completed cell in the journal, degrading
-// on failure: the first write error (disk full, permissions, torn
-// device) produces a single warning and disables further journaling —
-// it never fails the cell, whose simulation result is healthy. Cells
-// the journal already holds (store-served replays) are not re-appended.
-func (r *Resilience) journalCheckpoint(sweep, cell int, res system.Result) {
-	if r.Journal == nil || r.Journal.has(sweep, cell) {
-		return
-	}
-	if err := r.Journal.record(sweep, cell, res); err != nil {
-		r.journalWarn.Do(func() {
-			r.degrade(fmt.Sprintf("warning: %v — journaling disabled, campaign continues without checkpoints", err))
-		})
-	}
-}
-
-// storeCheckpoint commits a completed cell to the result store,
-// degrading on failure with the store's own sticky write-disable.
+// storeCheckpoint commits a freshly simulated cell to the result
+// store, degrading on failure: the first write error (disk full,
+// permissions, torn device) produces a single warning and the store's
+// own sticky write-disable — it never fails the cell, whose simulation
+// result is healthy.
 func (r *Resilience) storeCheckpoint(sweep, cell int, res system.Result) {
 	if r.Store == nil {
 		return
@@ -227,34 +211,6 @@ func (r *Resilience) storeCheckpoint(sweep, cell int, res system.Result) {
 		r.storeWarn.Do(func() {
 			r.degrade("warning: " + err.Error())
 		})
-	}
-}
-
-// checkpoint persists a freshly simulated cell everywhere the campaign
-// checkpoints — journal and store — with degrade-don't-fail semantics
-// on both.
-func (r *Resilience) checkpoint(sweep, cell int, res system.Result) {
-	r.journalCheckpoint(sweep, cell, res)
-	r.storeCheckpoint(sweep, cell, res)
-}
-
-// MigrateJournal seeds the result store with every cell the journal
-// already holds, so a campaign resumed from a journal written before
-// the store existed — or pointed at a fresh store directory — shares
-// its completed work immediately. Cells the store already has are
-// skipped without touching the hit/miss counters.
-func (r *Resilience) MigrateJournal() {
-	if r == nil || r.Store == nil || r.Journal == nil {
-		return
-	}
-	for k, res := range r.Journal.Snapshot() {
-		if r.Store.Has(r.StoreKey, storeCellAddr(k[0], k[1])) {
-			continue
-		}
-		r.storeCheckpoint(k[0], k[1], res)
-		if r.Store.WriteErr() != nil {
-			return // store degraded; the warning already fired
-		}
 	}
 }
 
@@ -397,7 +353,7 @@ func (l *FailureLog) Failures() []ReportFailure {
 // kind (deadline/event-budget/livelock/cancelled/stall, with the
 // machine diagnostic attached), panic (cleaned stack attached), or
 // plain error. Elapsed time is deliberately dropped — failure records
-// must be byte-identical across runs for journaled resume.
+// must be byte-identical across runs for store-backed resume.
 func failureRecord(sweep int, te *parallel.TaskError) ReportFailure {
 	f := ReportFailure{
 		Sweep:    sweep,

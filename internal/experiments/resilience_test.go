@@ -3,8 +3,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -126,76 +124,6 @@ func TestDegradedSweepAcceptance(t *testing.T) {
 	}
 }
 
-// TestResumeByteIdenticalReport interrupts a journaled campaign
-// (truncating the journal to a prefix plus a torn trailing line), then
-// resumes it and requires the final report — gains, failure records,
-// everything — to be byte-identical to an uninterrupted run's.
-func TestResumeByteIdenticalReport(t *testing.T) {
-	dir := t.TempDir()
-	inject := "panic:1,timeout:3"
-	newRes := func(j *Journal) *Resilience {
-		r := &Resilience{Mode: parallel.FailDegrade, Journal: j}
-		if err := r.SetInject(inject); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	key := CampaignKey("headline", resOpts(nil))
-
-	// Reference: uninterrupted journaled run.
-	jA, err := OpenJournal(filepath.Join(dir, "a.journal"), key, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := headlineReport(t, resOpts(newRes(jA)))
-	if err := jA.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted run: complete once, then cut the journal down to the
-	// header plus two cells and a torn half-written line.
-	pathB := filepath.Join(dir, "b.journal")
-	jB, err := OpenJournal(pathB, key, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	headlineReport(t, resOpts(newRes(jB)))
-	if err := jB.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(raw), "\n")
-	if len(lines) < 4 {
-		t.Fatalf("journal too short to truncate: %d lines", len(lines))
-	}
-	cut := strings.Join(lines[:3], "") + `{"sweep":0,"cel`
-	if err := os.WriteFile(pathB, []byte(cut), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume from the truncated journal.
-	jB2, err := OpenJournal(pathB, key, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jB2.Cells() != 2 {
-		t.Fatalf("resumed journal holds %d cells, want the 2 surviving ones", jB2.Cells())
-	}
-	got := headlineReport(t, resOpts(newRes(jB2)))
-	if jB2.Hits() != 2 {
-		t.Fatalf("resume served %d cells from the journal, want 2", jB2.Hits())
-	}
-	if err := jB2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("resumed report differs from uninterrupted run:\n%s", golden.Diff(want, got))
-	}
-}
-
 // TestProtocolViolationIsolated runs a sweep where one cell panics with
 // the sanitizer's fatal-mode violation: siblings must complete and the
 // failure must be classified as a protocol violation.
@@ -305,56 +233,6 @@ func TestCampaignKey(t *testing.T) {
 	if a != want {
 		t.Fatalf("CampaignKey = %q, want %q", a, want)
 	}
-}
-
-func TestJournalKeyMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.journal")
-	j, err := OpenJournal(path, "campaign-a", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.record(0, 0, system.Result{IPC: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenJournal(path, "campaign-b", true); err == nil ||
-		!strings.Contains(err.Error(), "campaign-a") {
-		t.Fatalf("resume with wrong key = %v, want key-mismatch error", err)
-	}
-	// The right key resumes fine.
-	j2, err := OpenJournal(path, "campaign-a", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, ok := j2.lookup(0, 0); !ok || res.IPC != 1 {
-		t.Fatalf("resumed cell = %+v/%v, want the recorded result", res, ok)
-	}
-	j2.Close()
-}
-
-func TestJournalNotAJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.journal")
-	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenJournal(path, "k", true); err == nil {
-		t.Fatal("resume from a non-journal file succeeded")
-	}
-}
-
-func TestJournalResumeFresh(t *testing.T) {
-	// -resume with no existing journal starts a fresh campaign.
-	path := filepath.Join(t.TempDir(), "j.journal")
-	j, err := OpenJournal(path, "k", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Cells() != 0 {
-		t.Fatalf("fresh journal holds %d cells", j.Cells())
-	}
-	j.Close()
 }
 
 // TestResilientHealthySweepByteIdentical: arming resilience (with

@@ -1,10 +1,11 @@
 package experiments
 
 // Integration tests for the content-addressed result store under the
-// campaign layer: byte-identity with the store on and off, cross-
-// campaign sharing, corruption healing, journal migration, and the
-// degrade-don't-fail contract for checkpoint write failures (the
-// journalRecord regression the fault-injecting FS makes testable).
+// campaign layer: byte-identity with the store on and off, replay
+// across processes, corruption healing, resume of an interrupted
+// campaign with injected failures, and the degrade-don't-fail contract
+// for checkpoint write failures (which the fault-injecting FS makes
+// testable).
 
 import (
 	"bytes"
@@ -115,97 +116,69 @@ func TestStoreCorruptEntryResimulated(t *testing.T) {
 	}
 }
 
-// TestJournalMigratesIntoStore opens a journal-only campaign, then
-// attaches a store: MigrateJournal must seed it with every journaled
-// cell, and the next campaign replays entirely from the store.
-func TestJournalMigratesIntoStore(t *testing.T) {
-	tmp := t.TempDir()
-	jpath := filepath.Join(tmp, "campaign.journal")
+// TestResumeByteIdenticalReport interrupts a store-backed campaign with
+// injected failures — two committed entries survive, a third is torn
+// to half its length, the rest are lost, and an interrupted writer
+// left debris in the staging area — then resumes it and requires the
+// final report (gains, failure records, everything) to be
+// byte-identical to an uninterrupted run's.
+func TestResumeByteIdenticalReport(t *testing.T) {
+	newRes := func(dir string) *Resilience {
+		r := storeRes(t, dir, nil, nil)
+		if err := r.SetInject("panic:1,timeout:3"); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := headlineReport(t, resOpts(newRes(t.TempDir())))
 
-	rj := &Resilience{Mode: parallel.FailDegrade}
-	key := CampaignKey("headline", resOpts(rj))
-	j, err := OpenJournal(jpath, key, false)
+	// Interrupted run: complete once, then cut the store down.
+	dir := t.TempDir()
+	headlineReport(t, resOpts(newRes(dir)))
+	entries, err := filepath.Glob(filepath.Join(dir, "*.res"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rj.Journal = j
-	plain := headlineReport(t, resOpts(rj))
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	if len(entries) < 4 {
+		t.Fatalf("store too small to interrupt: %d entries", len(entries))
 	}
-	cells := rj.Journal.Cells()
-	if cells == 0 {
-		t.Fatal("journal-only campaign checkpointed nothing")
-	}
-
-	// Resume with a store attached: migration seeds it before any sweep.
-	r := storeRes(t, filepath.Join(tmp, "store"), nil, nil)
-	j2, err := OpenJournal(jpath, key, true)
+	torn := entries[2]
+	data, err := os.ReadFile(torn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Journal = j2
-	r.MigrateJournal()
-	if got := r.Store.Entries(); got != cells {
-		t.Fatalf("migration seeded %d entries, journal holds %d", got, cells)
+	if err := os.WriteFile(torn, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Migration is idempotent: a second pass writes nothing new.
-	puts := r.Store.Stats().Puts
-	r.MigrateJournal()
-	if got := r.Store.Stats().Puts; got != puts {
-		t.Fatalf("second migration wrote %d new entries", got-puts)
+	for _, p := range entries[3:] {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
 	}
+	debris := filepath.Join(dir, "tmp", filepath.Base(entries[3])+".1.1")
+	if err := os.WriteFile(debris, data[:len(data)/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Resume from the interrupted store.
+	r := newRes(dir)
 	got := headlineReport(t, resOpts(r))
-	if !bytes.Equal(got, plain) {
-		t.Fatalf("migrated campaign report drifted:\n%s", golden.Diff(plain, got))
+	if st := r.Store.Stats(); st.Hits != 2 || st.Quarantined != 1 {
+		t.Fatalf("resume stats = %+v, want 2 hits (the surviving entries) and 1 quarantined (the torn one)", st)
 	}
-	if st := r.Store.Stats(); st.Hits == 0 {
-		t.Fatalf("migrated campaign did not replay from the store: %+v", st)
+	if _, err := os.Stat(debris); !os.IsNotExist(err) {
+		t.Fatalf("staging debris survived recovery (stat err %v)", err)
 	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed report differs from uninterrupted run:\n%s", golden.Diff(want, got))
 	}
 }
 
-// TestJournalWriteFailureDegrades is the satellite-1 regression test:
-// a mid-campaign journal write failure (disk full) must not fail the
-// healthy cells it was checkpointing — the campaign completes with
-// zero failure records, one warning fires, and journaling is disabled.
-func TestJournalWriteFailureDegrades(t *testing.T) {
-	efs := store.NewErrFS(nil)
-	jpath := filepath.Join(t.TempDir(), "campaign.journal")
-	r := &Resilience{Mode: parallel.FailDegrade}
-	var warns []string
-	r.OnDegrade = func(msg string) { warns = append(warns, msg) }
-	j, err := OpenJournalFS(jpath, CampaignKey("headline", resOpts(r)), false, efs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Journal = j
-	// Every write after the header fails: the first cell checkpoint
-	// breaks the journal, and the sticky error must stay a warning.
-	efs.Inject(store.Fault{Op: store.OpWrite, Match: "campaign.journal",
-		Skip: 1, Count: 1 << 20, Err: store.ErrNoSpace})
-
-	plain := headlineReport(t, resOpts(&Resilience{Mode: parallel.FailDegrade}))
-	got := headlineReport(t, resOpts(r))
-	if !bytes.Equal(got, plain) {
-		t.Fatalf("journal-degraded report drifted from plain run:\n%s", golden.Diff(plain, got))
-	}
-	if n := r.Log.Len(); n != 0 {
-		t.Fatalf("journal write failure produced %d cell failures: %+v", n, r.Log.Failures())
-	}
-	if len(warns) != 1 {
-		t.Fatalf("got %d degrade warnings, want exactly 1: %q", len(warns), warns)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close of a degraded-and-warned journal = %v, want nil", err)
-	}
-}
-
-// TestStoreWriteFailureDegrades: same contract on the store side —
-// ENOSPC on every staged write disables store commits with a single
-// warning while the campaign's results stay byte-identical.
+// TestStoreWriteFailureDegrades: a mid-campaign store write failure
+// (ENOSPC on every staged write) must not fail the healthy cells it
+// was checkpointing — the campaign completes with zero failure
+// records and byte-identical results, one warning fires, and store
+// commits are disabled.
 func TestStoreWriteFailureDegrades(t *testing.T) {
 	efs := store.NewErrFS(nil)
 	var warns []string

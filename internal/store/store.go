@@ -2,9 +2,12 @@
 // persistence substrate under the experiment layer's sweep campaigns.
 // Each entry holds one completed sweep cell's serialized result, keyed
 // by the SHA-256 digest of (campaign key, cell address) — so re-running
-// any campaign against the same store directory, from the same or a
-// different process, replays completed cells instead of re-simulating
-// them, and identical cells are never simulated twice across users.
+// a campaign against the same store directory, from the same or a
+// different process and at any parallelism, replays its completed cells
+// instead of re-simulating them. The campaign key names the experiment
+// and its result-relevant options, and the cell address is the cell's
+// position within that campaign, so different campaigns never share
+// entries, even for cells that simulate the same configuration.
 //
 // Durability discipline:
 //
@@ -267,15 +270,6 @@ func (s *Store) Get(campaign, cell string) ([]byte, bool) {
 	}
 	s.hits.Add(1)
 	return append([]byte(nil), payload...), true
-}
-
-// Has reports whether an entry file exists for (campaign, cell),
-// without validating it and without touching the hit/miss counters —
-// the cheap pre-check journal migration uses to skip cells already
-// shared.
-func (s *Store) Has(campaign, cell string) bool {
-	_, err := s.fs.ReadFile(filepath.Join(s.dir, Key(campaign, cell)+entryExt))
-	return err == nil
 }
 
 // Put durably stores payload for (campaign, cell): staged write,

@@ -77,12 +77,14 @@ crash-smoke:
 	sh scripts/crash_smoke.sh
 
 # Short fuzz smokes (CI runs these; drop -fuzztime for an open-ended
-# run): randomized configs under the sanitizer, then arbitrary
-# bytes through the result store's entry decoder (quarantine, never
-# panic).
+# run): randomized configs under the sanitizer, arbitrary bytes
+# through the result store's entry decoder (quarantine, never panic),
+# then arbitrary schedule/cancel/step scripts through the event queue
+# (fire order must match a reference).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTimingConfig' -fuzztime 20s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseEntry' -fuzztime 15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz 'FuzzEngineOrder' -fuzztime 10s ./internal/sim/
 
 # Deliberately regenerate the golden run-report fixtures after a
 # change that intentionally alters simulation results (see

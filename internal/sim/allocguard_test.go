@@ -47,4 +47,26 @@ func TestScheduleStepZeroAllocGuard(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("ScheduleArg+step allocates %.2f allocs/op, want 0", avg)
 	}
+
+	// Multicore-like traffic (BenchmarkEngineNearFuture's mix, 32
+	// pending) bursts past a bucket's home array now and then; once
+	// warm, those bursts reuse spare grown arrays instead of allocating.
+	mix := nearFutureMix(4096)
+	next := 0
+	var near func(*Engine)
+	near = func(e *Engine) {
+		k := mix[next%len(mix)]
+		next++
+		e.ScheduleP(e.Now()+k.delay, k.priority, near)
+	}
+	e = NewEngine()
+	for i := 0; i < 32; i++ {
+		near(e)
+	}
+	for i := 0; i < 100000; i++ {
+		e.Step()
+	}
+	if avg := testing.AllocsPerRun(10000, func() { e.Step() }); avg != 0 {
+		t.Errorf("near-future traffic allocates %.4f allocs/step, want 0", avg)
+	}
 }

@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// TestHeapOrderProperty drives the specialized sift-up/sift-down heap
-// with a randomized schedule/cancel workload and asserts events fire in
-// exactly (when, priority, seq) order — the same total order the
-// container/heap implementation guaranteed.
+// TestHeapOrderProperty drives a randomized schedule/cancel workload
+// and asserts events fire in exactly (when, priority, seq) order — the
+// same total order the container/heap implementation guaranteed. Its
+// times all fall in one wheel bucket, so it exercises the bucket's
+// ordered insert and cancel; TestQueueOrderProperty covers the whole
+// wheel and the overflow heap.
 func TestHeapOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -64,8 +66,8 @@ func TestHeapOrderProperty(t *testing.T) {
 	}
 }
 
-// TestHeapCancelMiddle removes interior heap elements and checks the
-// heap property survives (remove's down-then-up restoration).
+// TestHeapCancelMiddle cancels interior events of a crowded bucket and
+// checks the rest still fire in time order.
 func TestHeapCancelMiddle(t *testing.T) {
 	e := NewEngine()
 	var hs []Event

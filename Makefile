@@ -79,12 +79,14 @@ crash-smoke:
 # Short fuzz smokes (CI runs these; drop -fuzztime for an open-ended
 # run): randomized configs under the sanitizer, arbitrary bytes
 # through the result store's entry decoder (quarantine, never panic),
-# then arbitrary schedule/cancel/step scripts through the event queue
-# (fire order must match a reference).
+# arbitrary schedule/cancel/step scripts through the event queue (fire
+# order must match a reference), then arbitrary -inject specs through
+# their parser (never panic, arm only known kinds at cells >= 0).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTimingConfig' -fuzztime 20s ./internal/check/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseEntry' -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineOrder' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzSetInject -fuzztime 10s ./internal/experiments/
 
 # Deliberately regenerate the golden run-report fixtures after a
 # change that intentionally alters simulation results (see

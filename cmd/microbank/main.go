@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -28,7 +27,6 @@ import (
 	"microbank/internal/experiments"
 	"microbank/internal/obs"
 	"microbank/internal/obs/serve"
-	"microbank/internal/parallel"
 	"microbank/internal/sim"
 	"microbank/internal/stats"
 	"microbank/internal/store"
@@ -69,11 +67,10 @@ func main() {
 
 		timeout     = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = none); exceeded runs fail with a diagnostic snapshot")
 		eventBudget = flag.Uint64("event-budget", 0, "per-run simulation event budget (0 = none)")
-		retries     = flag.Int("retries", 0, "retry budget per sweep cell for transient failures (deadline trips)")
 		failMode    = flag.String("fail-mode", "fail-fast", "sweep reaction to a failed cell: fail-fast | collect | degrade")
 		storeDir    = flag.String("store", "", "content-addressed result store directory: completed sweep cells are committed to it (checksummed, atomic) and replayed from it, byte-identically, on every later run of the same campaign (same experiment and options, any -j)")
 		resume      = flag.Bool("resume", false, "assert that this run resumes a campaign; requires -store (the store replays committed cells on every run, -resume only checks that one is given)")
-		injectSpec  = flag.String("inject", "", "deterministic fault injection for testing, e.g. panic:1,timeout:3 (kinds: panic error timeout budget flaky)")
+		injectSpec  = flag.String("inject", "", "deterministic fault injection for testing, e.g. panic:1,timeout:3 (kinds: panic error timeout budget)")
 	)
 	flag.Parse()
 
@@ -119,14 +116,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "microbank: serving observability on http://%s (/metrics /events /status /debug/pprof/)\n", srv.Addr())
 	}
 
-	res, err := buildResilience(*exp, o, *failMode, *retries,
+	res, err := buildResilience(*exp, o, *failMode,
 		*timeout, *eventBudget, *storeDir, *resume, *injectSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "microbank:", err)
 		os.Exit(1)
 	}
 	o.Res = res
-	if agg != nil && res != nil && res.Store != nil {
+	if agg != nil && res.Store != nil {
 		s := res.Store
 		agg.SetStoreStats(func() (uint64, uint64, uint64) {
 			st := s.Stats()
@@ -160,18 +157,14 @@ func main() {
 
 	start := time.Now()
 	err = dispatch(*exp, o, report, oflags, *beta, rflags)
-	if res != nil {
-		if report != nil {
-			report.AddFailures(res.Log)
-		}
-		summarizeFailures(res)
-		if res.Store != nil {
-			st := res.Store.Stats()
-			fmt.Fprintf(os.Stderr, "microbank: store: %d hit(s), %d miss(es), %d new entr(y/ies), %d quarantined\n",
-				st.Hits, st.Misses, st.Puts, st.Quarantined)
-		}
+	summarizeFailures(res)
+	if res.Store != nil {
+		st := res.Store.Stats()
+		fmt.Fprintf(os.Stderr, "microbank: store: %d hit(s), %d miss(es), %d new entr(y/ies), %d quarantined\n",
+			st.Hits, st.Misses, st.Puts, st.Quarantined)
 	}
 	if report != nil {
+		report.AddFailures(res.Log)
 		// A failed run still flushes its report as valid JSON, marked
 		// aborted, so post-mortems and live consumers can load partial
 		// results. Collect-mode cell failures are not an abort: that run
@@ -220,26 +213,20 @@ func main() {
 	fmt.Printf("(elapsed %s)\n", time.Since(start).Round(time.Millisecond))
 }
 
-// buildResilience turns the resilience flags into an armed
-// *experiments.Resilience (nil when no flag asks for one, keeping the
-// zero-overhead fail-fast path).
-func buildResilience(exp string, o experiments.Options, failMode string, retries int,
+// buildResilience turns the resilience flags into the campaign's
+// *experiments.Resilience (the zero value's fail-fast campaign when no
+// flag is set).
+func buildResilience(exp string, o experiments.Options, failMode string,
 	timeout time.Duration, eventBudget uint64, storeDir string, resume bool,
 	inject string) (*experiments.Resilience, error) {
 	if resume && storeDir == "" {
 		return nil, fmt.Errorf("-resume needs -store")
 	}
-	armed := failMode != "fail-fast" || retries > 0 || timeout > 0 || eventBudget > 0 ||
-		storeDir != "" || inject != ""
-	if !armed {
-		return nil, nil
-	}
-	mode, err := parallel.ParseFailMode(failMode)
+	mode, err := experiments.ParseFailMode(failMode)
 	if err != nil {
 		return nil, err
 	}
-	res := &experiments.Resilience{Mode: mode, Retries: retries,
-		Timeout: timeout, EventBudget: eventBudget}
+	res := &experiments.Resilience{Mode: mode, Timeout: timeout, EventBudget: eventBudget}
 	if err := res.SetInject(inject); err != nil {
 		return nil, err
 	}
@@ -268,8 +255,7 @@ func summarizeFailures(res *experiments.Resilience) {
 	if len(fails) == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "microbank: %d sweep cell(s) failed (%d retries):\n",
-		len(fails), res.Log.Retries())
+	fmt.Fprintf(os.Stderr, "microbank: %d sweep cell(s) failed:\n", len(fails))
 	for _, f := range fails {
 		fmt.Fprintf(os.Stderr, "microbank:   sweep %d cell %d [%s] %s: %s\n",
 			f.Sweep, f.Cell, f.Kind, f.Digest, f.Error)
@@ -538,9 +524,6 @@ func runCustom(o experiments.Options, report *experiments.Report, of obsFlags, r
 			return fmt.Errorf("unknown -check mode %q (off | collect | fatal)", of.check)
 		}
 		spec.Obs = observer
-		if o.Res != nil {
-			o.Res.RegisterMetrics(observer.Registry)
-		}
 	}
 
 	aggSweep := -1
@@ -692,25 +675,12 @@ func flushAborted(err error, agg *obs.Aggregator, aggSweep int, tracer *obs.Chro
 		}
 	}
 	if agg != nil {
-		f := obs.CellFailure{Sweep: aggSweep, Cell: 0, Kind: failKind(err),
-			Error: err.Error(), Attempts: 1}
-		var le *system.LimitError
-		if errors.As(err, &le) {
-			f.Diag = le.Diag
+		f := obs.CellFailure{Sweep: aggSweep, Cell: 0, Error: err.Error()}
+		kind, diag := experiments.FailKind(err)
+		f.Kind = kind
+		if diag != nil {
+			f.Diag = *diag
 		}
 		agg.CellFailed(f)
 	}
-}
-
-// failKind classifies an ad-hoc run failure with the sweep taxonomy.
-func failKind(err error) string {
-	var le *system.LimitError
-	if errors.As(err, &le) {
-		return le.Kind
-	}
-	var fv *check.FatalViolation
-	if errors.As(err, &fv) {
-		return experiments.FailKindProtocol
-	}
-	return experiments.FailKindError
 }

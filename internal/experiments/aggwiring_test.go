@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"microbank/internal/obs"
-	"microbank/internal/parallel"
 	"microbank/internal/system"
 )
 
@@ -62,12 +61,10 @@ func TestMapRunsFeedsAggregator(t *testing.T) {
 
 func TestMapRunsAggregatorFailures(t *testing.T) {
 	agg := obs.NewAggregator("test")
-	res := &Resilience{Mode: parallel.FailDegrade, Retries: 1}
+	res := &Resilience{Mode: FailDegrade}
 	o := Options{Quick: true, Instr: 6000, Parallelism: 2, Res: res, Agg: agg}
-	attempt := 0
 	_, failed, err := mapRuns(o, []int{0, 1}, func(_ runEnv, j int) (system.Result, error) {
 		if j == 1 {
-			attempt++
 			return system.Result{}, errors.New("hard failure")
 		}
 		return system.Result{IPC: 1}, nil

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"microbank/internal/config"
@@ -59,10 +58,11 @@ type Options struct {
 	// goroutines and must be safe for concurrent use; it must not
 	// write to stdout, which carries the deterministic tables.
 	Progress func(done, total int)
-	// Res, when non-nil, arms resilient sweep execution: panic
-	// isolation, per-run limits, retries, failure collection, and
-	// store-backed resume. Nil selects the original fail-fast path with
-	// zero overhead.
+	// Res configures sweep survival: failure mode, per-run limits,
+	// failure collection, store-backed resume, and fault injection.
+	// Nil is the zero Resilience — fail-fast, unbounded runs, no store;
+	// either way a panicking cell becomes a failure record, never a
+	// crash.
 	Res *Resilience
 	// Exp names the running experiment for profiling: every sweep cell
 	// executes under runtime/pprof labels (exp, cell, variant) so CPU
@@ -71,7 +71,7 @@ type Options struct {
 	// Agg, when non-nil, feeds the live observability plane (-serve):
 	// every sweep cell runs with its own registry-only observer whose
 	// snapshot merges into the aggregator at the cell boundary, and
-	// progress/failure/retry events stream to it as they happen.
+	// progress/failure events stream to it as they happen.
 	// Observation is read-only and per-cell registries stay
 	// registry-only (no sampler/tracer), so results are untouched. Nil
 	// costs nothing.
@@ -233,25 +233,6 @@ func (g *GridData) Table(title string) *stats.Table {
 	return t
 }
 
-// CSV renders the grid as comma-separated values with an nB row header
-// and nW column header, for plotting tools.
-func (g *GridData) CSV() string {
-	var out strings.Builder
-	out.WriteString("nB\\nW")
-	for _, w := range Axis {
-		fmt.Fprintf(&out, ",%d", w)
-	}
-	out.WriteByte('\n')
-	for _, b := range Axis {
-		fmt.Fprintf(&out, "%d", b)
-		for _, w := range Axis {
-			fmt.Fprintf(&out, ",%.4f", g.At(w, b))
-		}
-		out.WriteByte('\n')
-	}
-	return out.String()
-}
-
 // cellMetrics captures the per-run values grids are built from.
 type cellMetrics struct {
 	ipc    float64
@@ -266,13 +247,14 @@ type cellMetrics struct {
 // Progress callback observes completions (in completion order, which
 // is schedule-dependent); it never influences results.
 //
-// With o.Res nil, the sweep is fail-fast with no overhead and the
-// returned mask is nil. With o.Res armed, the sweep runs resiliently:
-// each cell is one sweep cell under parallel.MapPolicy (panic
-// isolation, retries, per-run limits via the lim argument, store
-// lookup/checkpoint, fault injection), failures are logged as report
-// records, and under collect/degrade the sweep completes with failed
-// cells marked true in the mask (their Result is the zero value).
+// Every sweep runs under parallel.MapPolicy with o.Res's policy (a nil
+// o.Res is the zero Resilience: fail-fast, no store, no injection):
+// panic isolation, per-run limits via the env's lim, store
+// lookup/checkpoint, and fault injection. Failures are logged as
+// report records; fail-fast returns the lowest-index one as a
+// *parallel.TaskError, while under collect/degrade the sweep completes
+// with failed cells marked true in the mask (their Result is the zero
+// value). The mask is nil when no cell failed.
 func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Result, error)) ([]system.Result, []bool, error) {
 	total := len(jobs)
 	var done atomic.Int64
@@ -286,65 +268,22 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 	if agg != nil {
 		aggSweep = agg.BeginSweep(total)
 	}
-	// cellRun wraps run with the aggregator's cell lifecycle: a fresh
-	// registry-only observer per cell (observation is read-only), with
-	// the boundary snapshot merged on success. With no aggregator the
-	// env is zero and this is the old call verbatim. g is the
-	// campaign-global cell index. Every
-	// cell executes under pprof labels so a CPU profile of a sweep
-	// attributes samples to individual cells and variants.
-	cellRun := func(lim *system.Limits, g, i int, j J) (res system.Result, err error) {
-		env := runEnv{lim: lim}
-		if agg != nil {
-			env.obs = obs.NewObserver()
-			agg.CellStarted(aggSweep, i)
-		}
-		pprof.Do(context.Background(), pprof.Labels(
-			"exp", o.Exp, "cell", strconv.Itoa(g), "variant", fmt.Sprintf("%+v", j)),
-			func(context.Context) { res, err = run(env, j) })
-		if agg != nil && err == nil {
-			agg.CellDone(aggSweep, i, env.obs.Registry.Gather())
-		}
-		return res, err
-	}
 	idx := make([]int, total)
 	for i := range idx {
 		idx[i] = i
 	}
 	if o.Res == nil {
-		res, err := parallel.Map(o.ctx(), o.Parallelism, idx,
-			func(_ context.Context, i int) (system.Result, error) {
-				r, err := cellRun(o.limitsFor(i), i, i, jobs[i])
-				if err == nil {
-					note()
-				}
-				return r, err
-			})
-		return res, nil, err
+		o.Res = &Resilience{}
 	}
-
 	r := o.Res
 	base, sweep := r.beginSweep(total)
 	// Collect is degrade at sweep level: every sweep completes with its
 	// failures logged, and the campaign-level verdict (Resilience.Err)
 	// turns the log into a nonzero exit.
-	mode := parallel.FailDegrade
-	if r.Mode == parallel.FailFast {
-		mode = parallel.FailFast
-	}
 	pol := parallel.Policy{
-		Mode:      mode,
-		Retries:   r.Retries,
-		Backoff:   r.Backoff,
-		Retryable: retryable,
+		FailFast: r.Mode == FailFast,
 		Digest: func(i int) string {
 			return fmt.Sprintf("sweep %d cell %d/%d: %+v", sweep, i, total, jobs[i])
-		},
-		OnRetry: func(int, int, error) {
-			r.Log.NoteRetry()
-			if agg != nil {
-				agg.NoteRetry()
-			}
 		},
 	}
 	results, fails, err := parallel.MapPolicy(o.ctx(), o.Parallelism, idx, pol,
@@ -364,14 +303,27 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 				panic(fmt.Sprintf("injected panic at campaign cell %d", g))
 			case "error":
 				return system.Result{}, fmt.Errorf("injected error at campaign cell %d", g)
-			case "flaky":
-				if r.firstAttempt(g) {
-					return system.Result{}, errInjectedTransient
-				}
 			}
-			res, rerr := cellRun(o.limitsFor(g), g, i, jobs[i])
+			// With an aggregator the cell gets a fresh registry-only
+			// observer (observation is read-only) whose snapshot merges at
+			// the cell boundary on success. The run executes under pprof
+			// labels so a CPU profile of a sweep attributes samples to
+			// individual cells and variants.
+			env := runEnv{lim: o.limitsFor(g)}
+			if agg != nil {
+				env.obs = obs.NewObserver()
+				agg.CellStarted(aggSweep, i)
+			}
+			var res system.Result
+			var rerr error
+			pprof.Do(context.Background(), pprof.Labels(
+				"exp", o.Exp, "cell", strconv.Itoa(g), "variant", fmt.Sprintf("%+v", jobs[i])),
+				func(context.Context) { res, rerr = run(env, jobs[i]) })
 			if rerr != nil {
 				return system.Result{}, rerr
+			}
+			if agg != nil {
+				agg.CellDone(aggSweep, i, env.obs.Registry.Gather())
 			}
 			// Only healthy cells are checkpointed; failed cells re-run (and
 			// re-fail identically) on resume. A checkpoint that cannot
@@ -386,8 +338,7 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 		r.Log.add(f)
 		if agg != nil {
 			agg.CellFailed(obs.CellFailure{Sweep: aggSweep, Cell: f.Cell,
-				Kind: f.Kind, Error: f.Error, Digest: f.Digest,
-				Attempts: f.Attempts, Diag: f.Diag})
+				Kind: f.Kind, Error: f.Error, Digest: f.Digest, Diag: f.Diag})
 		}
 	}
 	if err != nil {

@@ -311,20 +311,6 @@ func TestSpecGroupSelection(t *testing.T) {
 	}
 }
 
-func TestGridCSV(t *testing.T) {
-	csv := Fig6a().CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("csv lines = %d, want 6", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "nB\\nW,1,2,4,8,16") {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "1.0000") {
-		t.Fatalf("row = %q", lines[1])
-	}
-}
-
 func TestGridSVG(t *testing.T) {
 	svg := Fig6a().SVG("Fig. 6a <area>")
 	for _, want := range []string{"<svg", "</svg>", "&lt;area&gt;", "1.267", "rect"} {
@@ -344,5 +330,28 @@ func TestGridSVG(t *testing.T) {
 	}
 	if out := g.SVG("flat"); !strings.Contains(out, "1.000") {
 		t.Error("flat grid render")
+	}
+}
+
+// TestGridSVGDegraded: a grid whose cell failed under degrade renders
+// that cell as FAIL, like its table, not as a measured 0.000.
+func TestGridSVGDegraded(t *testing.T) {
+	res := &Resilience{Mode: FailDegrade}
+	if err := res.SetInject("panic:1"); err != nil {
+		t.Fatal(err)
+	}
+	ipc, _, err := gridsFor("429.mcf", Options{Quick: true, Instr: 4000, Parallelism: 2, Res: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ipc.Missing[[2]int{2, 1}] {
+		t.Fatalf("cell (2,1) not marked missing: %+v", ipc.Missing)
+	}
+	svg := ipc.SVG("degraded")
+	if n := strings.Count(svg, ">FAIL<"); n != 1 {
+		t.Errorf("SVG has %d FAIL cells, want 1", n)
+	}
+	if strings.Contains(svg, "0.000") {
+		t.Error("SVG renders the failed cell as a 0.000 measurement")
 	}
 }

@@ -1,9 +1,9 @@
 package experiments
 
-// Sweep resilience: Options.Res arms the resilient execution path of
-// mapRuns — per-cell panic isolation and retries (parallel.MapPolicy),
-// per-run limits (system.Limits), a structured failure log that flows
-// into the Report's failures section, and checkpointing into the
+// Sweep resilience: Options.Res configures how mapRuns survives a bad
+// cell — per-cell panic isolation (parallel.MapPolicy), the failure
+// mode, per-run limits (system.Limits), a structured failure log that
+// flows into the Report's failures section, and checkpointing into the
 // content-addressed result store that lets an interrupted or partially
 // failed campaign resume from its completed cells. Cells are addressed
 // as (sweep, cell): experiments begin their sweeps serially in
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"microbank/internal/check"
-	"microbank/internal/obs"
 	"microbank/internal/parallel"
 	"microbank/internal/store"
 	"microbank/internal/system"
@@ -37,6 +36,55 @@ const (
 	FailKindProtocol = "protocol" // DRAM timing sanitizer fatal violation
 	FailKindError    = "error"    // ordinary error return
 )
+
+// FailKind classifies a run failure with the sweep taxonomy: protocol
+// (sanitizer fatal violation), a limit kind (with the machine
+// diagnostic the watchdog captured), or plain error. A panicking cell
+// whose value classifies as plain error is reported as FailKindPanic
+// by the caller, which alone knows it panicked.
+func FailKind(err error) (kind string, diag *system.Diag) {
+	var fv *check.FatalViolation
+	var le *system.LimitError
+	switch {
+	case errors.As(err, &fv):
+		return FailKindProtocol, nil
+	case errors.As(err, &le):
+		d := le.Diag
+		return le.Kind, &d
+	}
+	return FailKindError, nil
+}
+
+// FailMode selects how a campaign reacts to a failed sweep cell.
+type FailMode int
+
+const (
+	// FailFast aborts the campaign at the first failure, reporting the
+	// lowest-index failure of the sweep it occurred in.
+	FailFast FailMode = iota
+	// FailCollect runs every cell and records failures like
+	// FailDegrade, then makes the campaign verdict (Resilience.Err)
+	// non-nil so the CLI exits nonzero.
+	FailCollect
+	// FailDegrade runs every cell, records failures, and lets the
+	// experiments reduce the healthy cells to partial results with the
+	// failed cells marked.
+	FailDegrade
+)
+
+// ParseFailMode maps a CLI flag value onto a FailMode.
+func ParseFailMode(s string) (FailMode, error) {
+	switch s {
+	case "fail-fast":
+		return FailFast, nil
+	case "collect":
+		return FailCollect, nil
+	case "degrade":
+		return FailDegrade, nil
+	default:
+		return FailFast, fmt.Errorf("unknown fail mode %q (fail-fast | collect | degrade)", s)
+	}
+}
 
 // injectCheckEvents is the watchdog period used for injected limit
 // faults: small enough that the injected limit trips at the very first
@@ -56,20 +104,15 @@ func CampaignKey(experiment string, o Options) string {
 }
 
 // Resilience configures sweep survival for one experiment campaign.
-// The zero value of each field is the conservative default; a nil
-// *Resilience in Options selects the original fail-fast path with no
-// overhead.
+// The zero value is the default campaign — fail-fast, unbounded runs,
+// no store, no injection — and is what a nil *Resilience in Options
+// means.
 type Resilience struct {
 	// Mode decides what a failed cell does to the campaign: FailFast
 	// aborts at the first failure; FailCollect and FailDegrade both run
 	// every cell and report failures in the log (collect additionally
 	// makes Err() non-nil so the CLI exits nonzero).
-	Mode parallel.FailMode
-	// Retries/Backoff bound re-attempts of transient failures
-	// (wall-clock deadline trips; everything else in a deterministic
-	// simulator fails identically on retry).
-	Retries int
-	Backoff time.Duration
+	Mode FailMode
 	// Timeout and EventBudget bound every run of the campaign
 	// (system.Limits.WallClock / EventBudget).
 	Timeout     time.Duration
@@ -92,7 +135,6 @@ type Resilience struct {
 	Log *FailureLog
 
 	inject map[int]string // campaign cell index -> injected fault kind
-	flaky  sync.Map       // cells whose injected transient already fired
 
 	storeWarn sync.Once
 
@@ -104,8 +146,7 @@ type Resilience struct {
 // SetInject arms deterministic fault injection from a CLI spec like
 // "panic:1,timeout:3": a comma-separated list of kind:cell pairs,
 // where cell counts campaign cells (across sweeps, in enumeration
-// order) and kind is one of panic, error, timeout, budget, flaky
-// (fails the first attempt with a retryable error, then succeeds).
+// order) and kind is one of panic, error, timeout, budget.
 func (r *Resilience) SetInject(spec string) error {
 	if spec == "" {
 		return nil
@@ -121,9 +162,9 @@ func (r *Resilience) SetInject(spec string) error {
 			return fmt.Errorf("bad inject cell in %q", part)
 		}
 		switch kind {
-		case "panic", "error", "timeout", "budget", "flaky":
+		case "panic", "error", "timeout", "budget":
 		default:
-			return fmt.Errorf("unknown inject kind %q (panic | error | timeout | budget | flaky)", kind)
+			return fmt.Errorf("unknown inject kind %q (panic | error | timeout | budget)", kind)
 		}
 		r.inject[cell] = kind
 	}
@@ -132,13 +173,6 @@ func (r *Resilience) SetInject(spec string) error {
 
 // injectionAt returns the armed fault kind for a campaign cell.
 func (r *Resilience) injectionAt(g int) string { return r.inject[g] }
-
-// firstAttempt reports (once) that the flaky injection at campaign
-// cell g has not fired yet.
-func (r *Resilience) firstAttempt(g int) bool {
-	_, loaded := r.flaky.LoadOrStore(g, true)
-	return !loaded
-}
 
 // beginSweep assigns the next sweep id and the campaign-cell base
 // index for a sweep of the given size. Sweeps begin serially (each
@@ -219,31 +253,13 @@ func (r *Resilience) storeCheckpoint(sweep, cell int, res system.Result) {
 // returns nil — partial results are the contract — and fail-fast
 // campaigns never reach this point with failures.
 func (r *Resilience) Err() error {
-	if r == nil || r.Log == nil {
+	if r.Log == nil {
 		return nil
 	}
-	if n := r.Log.Len(); n > 0 && r.Mode == parallel.FailCollect {
+	if n := r.Log.Len(); n > 0 && r.Mode == FailCollect {
 		return fmt.Errorf("sweep: %d cell(s) failed (failure records in the report)", n)
 	}
 	return nil
-}
-
-// RegisterMetrics exports the campaign's failure/retry counters into
-// an obs registry as sweep.failures and sweep.retries gauges.
-func (r *Resilience) RegisterMetrics(reg *obs.Registry) {
-	r.mu.Lock()
-	if r.Log == nil {
-		r.Log = &FailureLog{}
-	}
-	log := r.Log
-	r.mu.Unlock()
-	reg.GaugeFunc("sweep.failures", func() float64 { return float64(log.Len()) })
-	reg.GaugeFunc("sweep.retries", func() float64 { return float64(log.Retries()) })
-	if s := r.Store; s != nil {
-		reg.GaugeFunc("store.hits", func() float64 { return float64(s.Stats().Hits) })
-		reg.GaugeFunc("store.misses", func() float64 { return float64(s.Stats().Misses) })
-		reg.GaugeFunc("store.quarantined", func() float64 { return float64(s.Stats().Quarantined) })
-	}
 }
 
 // limitsFor builds the per-run limits for campaign cell g: the
@@ -251,36 +267,25 @@ func (r *Resilience) RegisterMetrics(reg *obs.Registry) {
 // deterministically trips at the first watchdog check. A caller
 // context (Options.Ctx — the CLI's signal handler) rides along so an
 // interrupt cancels in-flight cells at the next watchdog check; the
-// armed watchdog is read-only and never perturbs results.
+// armed watchdog is read-only and never perturbs results. o.Res must
+// be non-nil (mapRuns defaults it).
 func (o Options) limitsFor(g int) *system.Limits {
-	r := o.Res
-	if r == nil {
-		if o.Ctx != nil {
-			return &system.Limits{Ctx: o.Ctx}
-		}
-		return nil
-	}
-	switch r.injectionAt(g) {
+	switch o.Res.injectionAt(g) {
 	case "timeout":
 		return &system.Limits{WallClock: time.Nanosecond, CheckEvents: injectCheckEvents}
 	case "budget":
 		return &system.Limits{EventBudget: 1, CheckEvents: injectCheckEvents}
 	}
-	if r.Timeout <= 0 && r.EventBudget == 0 {
-		if o.Ctx != nil {
-			return &system.Limits{Ctx: o.Ctx}
-		}
-		return nil
-	}
-	return &system.Limits{Ctx: o.Ctx, WallClock: r.Timeout, EventBudget: r.EventBudget}
+	return o.Res.RunLimits(o.Ctx)
 }
 
-// RunLimits returns the limits a single ad-hoc run (-exp run) inherits
-// from the campaign flags: the wall-clock deadline and event budget,
-// or nil when unbounded. ctx (which may be nil) threads the caller's
+// RunLimits returns the limits a run — a sweep cell without an
+// injected limit, or an ad-hoc -exp run — inherits from the campaign
+// flags: the wall-clock deadline and event budget, or nil when
+// unbounded. ctx (which may be nil) threads the caller's
 // cancellation — the CLI's signal handler — into the run's watchdog.
 func (r *Resilience) RunLimits(ctx context.Context) *system.Limits {
-	if r == nil || (r.Timeout <= 0 && r.EventBudget == 0) {
+	if r.Timeout <= 0 && r.EventBudget == 0 {
 		if ctx != nil {
 			return &system.Limits{Ctx: ctx}
 		}
@@ -289,27 +294,11 @@ func (r *Resilience) RunLimits(ctx context.Context) *system.Limits {
 	return &system.Limits{Ctx: ctx, WallClock: r.Timeout, EventBudget: r.EventBudget}
 }
 
-// errInjectedTransient is the retryable error the flaky injection
-// produces on a cell's first attempt.
-var errInjectedTransient = errors.New("injected transient failure")
-
-// retryable classifies a cell failure as worth re-attempting. Only
-// wall-clock deadline trips qualify (host contention can clear); every
-// other failure of a deterministic simulation repeats identically.
-func retryable(err error) bool {
-	if errors.Is(err, errInjectedTransient) {
-		return true
-	}
-	var le *system.LimitError
-	return errors.As(err, &le) && le.Kind == system.LimitDeadline
-}
-
-// FailureLog accumulates structured failure records and retry counts
-// across every sweep of a campaign. Safe for concurrent use.
+// FailureLog accumulates structured failure records across every
+// sweep of a campaign. Safe for concurrent use.
 type FailureLog struct {
-	mu      sync.Mutex
-	fails   []ReportFailure
-	retries uint64
+	mu    sync.Mutex
+	fails []ReportFailure
 }
 
 func (l *FailureLog) add(f ReportFailure) {
@@ -318,25 +307,11 @@ func (l *FailureLog) add(f ReportFailure) {
 	l.mu.Unlock()
 }
 
-// NoteRetry counts one retry attempt.
-func (l *FailureLog) NoteRetry() {
-	l.mu.Lock()
-	l.retries++
-	l.mu.Unlock()
-}
-
 // Len returns the number of recorded failures.
 func (l *FailureLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.fails)
-}
-
-// Retries returns the total retry count.
-func (l *FailureLog) Retries() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.retries
 }
 
 // Failures returns a copy of the recorded failures, in (sweep, cell)
@@ -349,33 +324,17 @@ func (l *FailureLog) Failures() []ReportFailure {
 }
 
 // failureRecord converts a task failure into its report form,
-// classifying the error: protocol (sanitizer fatal violation), a limit
-// kind (deadline/event-budget/livelock/cancelled/stall, with the
-// machine diagnostic attached), panic (cleaned stack attached), or
-// plain error. Elapsed time is deliberately dropped — failure records
-// must be byte-identical across runs for store-backed resume.
+// classified by FailKind (a panic that is neither a protocol violation
+// nor a limit trip is FailKindPanic) with the cleaned stack of a panic
+// attached. Records hold no wall-clock values — they must be
+// byte-identical across runs for store-backed resume.
 func failureRecord(sweep int, te *parallel.TaskError) ReportFailure {
-	f := ReportFailure{
-		Sweep:    sweep,
-		Cell:     te.Index,
-		Kind:     FailKindError,
-		Digest:   te.Digest,
-		Attempts: te.Attempts,
-		Error:    te.Err.Error(),
-	}
-	var fv *check.FatalViolation
-	var le *system.LimitError
-	switch {
-	case errors.As(te.Err, &fv):
-		f.Kind = FailKindProtocol
-	case errors.As(te.Err, &le):
-		f.Kind = le.Kind
-		d := le.Diag
-		f.Diag = &d
-	case te.Panicked:
-		f.Kind = FailKindPanic
-	}
+	f := ReportFailure{Sweep: sweep, Cell: te.Index, Digest: te.Digest, Error: te.Err.Error()}
+	f.Kind, f.Diag = FailKind(te.Err)
 	if te.Panicked {
+		if f.Kind == FailKindError {
+			f.Kind = FailKindPanic
+		}
 		f.Stack = te.CleanStack()
 	}
 	return f

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func headlineReport(t *testing.T, o Options) []byte {
 // exercises concurrent panic isolation and failure collection.
 func TestSweepParallelismResilience(t *testing.T) {
 	mk := func(par int) []byte {
-		res := &Resilience{Mode: parallel.FailDegrade}
+		res := &Resilience{Mode: FailDegrade}
 		if err := res.SetInject("timeout:3"); err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestSweepParallelismResilience(t *testing.T) {
 // cell completes under degrade, returns the healthy results, and
 // records both failures with their diagnostics.
 func TestDegradedSweepAcceptance(t *testing.T) {
-	res := &Resilience{Mode: parallel.FailDegrade}
+	res := &Resilience{Mode: FailDegrade}
 	if err := res.SetInject("panic:1,timeout:3"); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestDegradedSweepAcceptance(t *testing.T) {
 // the sanitizer's fatal-mode violation: siblings must complete and the
 // failure must be classified as a protocol violation.
 func TestProtocolViolationIsolated(t *testing.T) {
-	res := &Resilience{Mode: parallel.FailDegrade}
+	res := &Resilience{Mode: FailDegrade}
 	o := resOpts(res)
 	jobs := []int{0, 1, 2, 3}
 	results, failed, err := mapRuns(o, jobs, func(_ runEnv, j int) (system.Result, error) {
@@ -158,29 +159,10 @@ func TestProtocolViolationIsolated(t *testing.T) {
 	}
 }
 
-// TestFlakyCellRetries injects a transient first-attempt failure and
-// verifies the retry budget absorbs it.
-func TestFlakyCellRetries(t *testing.T) {
-	res := &Resilience{Mode: parallel.FailDegrade, Retries: 1}
-	if err := res.SetInject("flaky:0"); err != nil {
-		t.Fatal(err)
-	}
-	o := resOpts(res)
-	if _, err := Headline(o); err != nil {
-		t.Fatalf("Headline: %v", err)
-	}
-	if n := res.Log.Len(); n != 0 {
-		t.Fatalf("flaky cell recorded %d failures despite retry budget", n)
-	}
-	if res.Log.Retries() != 1 {
-		t.Fatalf("retries = %d, want 1", res.Log.Retries())
-	}
-}
-
 // TestCollectModeFailsCampaign: collect runs everything like degrade
 // but the campaign-level verdict is an error.
 func TestCollectModeFailsCampaign(t *testing.T) {
-	res := &Resilience{Mode: parallel.FailCollect}
+	res := &Resilience{Mode: FailCollect}
 	if err := res.SetInject("error:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +173,7 @@ func TestCollectModeFailsCampaign(t *testing.T) {
 	if err := res.Err(); err == nil || !strings.Contains(err.Error(), "1 cell(s) failed") {
 		t.Fatalf("campaign verdict = %v, want collect-mode failure", err)
 	}
-	res2 := &Resilience{Mode: parallel.FailDegrade}
+	res2 := &Resilience{Mode: FailDegrade}
 	if err := res2.SetInject("error:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -204,18 +186,80 @@ func TestCollectModeFailsCampaign(t *testing.T) {
 }
 
 func TestSetInjectErrors(t *testing.T) {
-	for _, bad := range []string{"panic", "frob:1", "panic:-1", "panic:x", "panic:1,"} {
+	for _, bad := range []string{"panic", "frob:1", "flaky:0", "panic:-1", "panic:x", "panic:1,"} {
 		r := &Resilience{}
 		if err := r.SetInject(bad); err == nil {
 			t.Errorf("SetInject(%q) accepted", bad)
 		}
 	}
 	r := &Resilience{}
-	if err := r.SetInject("panic:1,timeout:3,flaky:0"); err != nil {
+	if err := r.SetInject("panic:1,timeout:3,budget:0"); err != nil {
 		t.Fatalf("SetInject rejected a valid spec: %v", err)
 	}
 	if r.injectionAt(3) != "timeout" || r.injectionAt(2) != "" {
 		t.Fatalf("inject map wrong: %+v", r.inject)
+	}
+}
+
+// FuzzSetInject: the -inject parser never panics, and every spec it
+// accepts arms only non-negative cells with a kind mapRuns knows.
+func FuzzSetInject(f *testing.F) {
+	for _, seed := range []string{"panic:1,timeout:3", "flaky:0", "panic:1,"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		r := &Resilience{}
+		if r.SetInject(spec) != nil {
+			return
+		}
+		for cell, kind := range r.inject {
+			switch kind {
+			case "panic", "error", "timeout", "budget":
+			default:
+				t.Fatalf("SetInject(%q) armed unknown kind %q", spec, kind)
+			}
+			if cell < 0 {
+				t.Fatalf("SetInject(%q) armed negative cell %d", spec, cell)
+			}
+		}
+	})
+}
+
+func TestParseFailMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want FailMode
+	}{{"fail-fast", FailFast}, {"collect", FailCollect}, {"degrade", FailDegrade}} {
+		got, err := ParseFailMode(tc.in)
+		if err != nil || got != tc.want {
+			t.Fatalf("ParseFailMode(%q) = %v, %v", tc.in, got, err)
+		}
+	}
+	if _, err := ParseFailMode("explode"); err == nil {
+		t.Fatal("ParseFailMode accepted garbage")
+	}
+}
+
+// TestMapRunsDefaultPanicIsFailure: with no Resilience configured, a
+// panicking cell fails the sweep with an error value — a
+// *parallel.TaskError carrying the cleaned stack — instead of crashing
+// the process.
+func TestMapRunsDefaultPanicIsFailure(t *testing.T) {
+	results, failed, err := mapRuns(Options{}, []int{0, 1, 2}, func(_ runEnv, j int) (system.Result, error) {
+		if j == 1 {
+			panic("cell 1 explodes")
+		}
+		return system.Result{IPC: 1}, nil
+	})
+	var te *parallel.TaskError
+	if !errors.As(err, &te) || !te.Panicked || te.Index != 1 {
+		t.Fatalf("err = %v, want the panicked cell 1 as a *parallel.TaskError", err)
+	}
+	if results != nil || failed != nil {
+		t.Fatalf("fail-fast sweep returned partial results: %v %v", results, failed)
+	}
+	if st := te.CleanStack(); st == "" || !strings.Contains(st, "resilience_test.go") {
+		t.Fatalf("cleaned stack missing the panic site:\n%s", st)
 	}
 }
 
@@ -239,8 +283,7 @@ func TestCampaignKey(t *testing.T) {
 // generous limits) must not change a healthy campaign's results.
 func TestResilientHealthySweepByteIdentical(t *testing.T) {
 	plain := headlineReport(t, resOpts(nil))
-	res := &Resilience{Mode: parallel.FailDegrade, Retries: 2,
-		Timeout: time.Hour, EventBudget: 1 << 40}
+	res := &Resilience{Mode: FailDegrade, Timeout: time.Hour, EventBudget: 1 << 40}
 	armed := headlineReport(t, resOpts(res))
 	// The reports echo identical options either way; only the failures
 	// section could differ, and a healthy run must not have one.

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"microbank/internal/check/golden"
-	"microbank/internal/parallel"
 	"microbank/internal/store"
 )
 
@@ -26,7 +25,7 @@ func storeRes(t *testing.T, dir string, fsys store.FS, warns *[]string) *Resilie
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
-	r := &Resilience{Mode: parallel.FailDegrade, Store: s}
+	r := &Resilience{Mode: FailDegrade, Store: s}
 	r.StoreKey = CampaignKey("headline", resOpts(r))
 	if warns != nil {
 		r.OnDegrade = func(msg string) { *warns = append(*warns, msg) }
@@ -39,7 +38,7 @@ func storeRes(t *testing.T, dir string, fsys store.FS, warns *[]string) *Resilie
 // one, and a second campaign over the same store simulates nothing —
 // every cell replays from disk.
 func TestStoreSweepByteIdenticalAndShared(t *testing.T) {
-	plain := headlineReport(t, resOpts(&Resilience{Mode: parallel.FailDegrade}))
+	plain := headlineReport(t, resOpts(&Resilience{Mode: FailDegrade}))
 
 	dir := t.TempDir()
 	r1 := storeRes(t, dir, nil, nil)
@@ -70,7 +69,7 @@ func TestStoreSweepByteIdenticalAndShared(t *testing.T) {
 // still produce a byte-identical report — degrade, never a crash or a
 // silently wrong result.
 func TestStoreCorruptEntryResimulated(t *testing.T) {
-	plain := headlineReport(t, resOpts(&Resilience{Mode: parallel.FailDegrade}))
+	plain := headlineReport(t, resOpts(&Resilience{Mode: FailDegrade}))
 	dir := t.TempDir()
 	headlineReport(t, resOpts(storeRes(t, dir, nil, nil)))
 
@@ -186,7 +185,7 @@ func TestStoreWriteFailureDegrades(t *testing.T) {
 	efs.Inject(store.Fault{Op: store.OpWrite, Match: "tmp",
 		Count: 1 << 20, Err: store.ErrNoSpace})
 
-	plain := headlineReport(t, resOpts(&Resilience{Mode: parallel.FailDegrade}))
+	plain := headlineReport(t, resOpts(&Resilience{Mode: FailDegrade}))
 	got := headlineReport(t, resOpts(r))
 	if !bytes.Equal(got, plain) {
 		t.Fatalf("store-degraded report drifted from plain run:\n%s", golden.Diff(plain, got))

@@ -18,7 +18,8 @@ const (
 
 // SVG renders the grid as a standalone heatmap image. Cells are
 // colored on a white→steel-blue ramp from the grid minimum to maximum
-// and labeled with their values.
+// and labeled with their values; Missing cells of a degraded grid are
+// gray and labeled FAIL.
 func (g *GridData) SVG(title string) string {
 	min, max := math.Inf(1), math.Inf(-1)
 	for _, v := range g.Rel {
@@ -51,17 +52,22 @@ func (g *GridData) SVG(title string) string {
 			svgMargin-6, y+svgCell/2+4, nB)
 		for wi, nW := range Axis {
 			x := svgMargin + wi*svgCell
-			v := g.At(nW, nB)
-			t := (v - min) / span
-			r, gr, bl := rampColor(t)
-			fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" fill="rgb(%d,%d,%d)" stroke="white"/>`+"\n",
-				x, y, svgCell, svgCell, r, gr, bl)
-			txt := "black"
-			if t > 0.6 {
-				txt = "white"
+			// A failed cell is not a measurement: neutral gray, labeled
+			// FAIL as in the table, and outside the color ramp.
+			fill, txt, label := "rgb(224,224,224)", "black", "FAIL"
+			if !g.Missing[[2]int{nW, nB}] {
+				v := g.At(nW, nB)
+				t := (v - min) / span
+				r, gr, bl := rampColor(t)
+				fill, label = fmt.Sprintf("rgb(%d,%d,%d)", r, gr, bl), fmt.Sprintf("%.3f", v)
+				if t > 0.6 {
+					txt = "white"
+				}
 			}
-			fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="12" text-anchor="middle" fill="%s">%.3f</text>`+"\n",
-				x+svgCell/2, y+svgCell/2+4, txt, v)
+			fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" fill="%s" stroke="white"/>`+"\n",
+				x, y, svgCell, svgCell, fill)
+			fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="12" text-anchor="middle" fill="%s">%s</text>`+"\n",
+				x+svgCell/2, y+svgCell/2+4, txt, label)
 		}
 	}
 	fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="10" fill="#555">%s: %.3f – %.3f</text>`+"\n",

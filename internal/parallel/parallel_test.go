@@ -24,54 +24,63 @@ func TestWidthClamping(t *testing.T) {
 	}
 }
 
+// failFast is the policy the fail-fast tests share.
+var failFast = Policy{FailFast: true}
+
 func TestMapOrderedResults(t *testing.T) {
 	items := make([]int, 100)
 	for i := range items {
 		items[i] = i
 	}
-	for _, width := range []int{1, 2, 8, 200} {
-		got, err := Map(context.Background(), width, items,
-			func(_ context.Context, v int) (int, error) { return v * v, nil })
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		for i, r := range got {
-			if r != i*i {
-				t.Fatalf("width %d: result[%d] = %d, want %d", width, i, r, i*i)
+	for _, pol := range []Policy{failFast, {}} {
+		for _, width := range []int{1, 2, 8, 200} {
+			got, fails, err := MapPolicy(context.Background(), width, items, pol,
+				func(_ context.Context, v int) (int, error) { return v * v, nil })
+			if err != nil || fails != nil {
+				t.Fatalf("fail-fast=%v width %d: err=%v fails=%v", pol.FailFast, width, err, fails)
+			}
+			for i, r := range got {
+				if r != i*i {
+					t.Fatalf("fail-fast=%v width %d: result[%d] = %d, want %d",
+						pol.FailFast, width, i, r, i*i)
+				}
 			}
 		}
 	}
 }
 
 func TestMapBoundsConcurrency(t *testing.T) {
-	const width = 3
-	var cur, peak atomic.Int64
-	_, err := Map(context.Background(), width, make([]struct{}, 50),
-		func(context.Context, struct{}) (struct{}, error) {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
+	for _, width := range []int{1, 3} {
+		var cur, peak atomic.Int64
+		_, _, err := MapPolicy(context.Background(), width, make([]struct{}, 50), failFast,
+			func(context.Context, struct{}) (struct{}, error) {
+				c := cur.Add(1)
+				for {
+					p := peak.Load()
+					if c <= p || peak.CompareAndSwap(p, c) {
+						break
+					}
 				}
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-			return struct{}{}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > width {
-		t.Fatalf("peak concurrency %d exceeds width %d", p, width)
+				time.Sleep(time.Millisecond)
+				cur.Add(-1)
+				return struct{}{}, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p > int64(width) {
+			t.Fatalf("peak concurrency %d exceeds width %d", p, width)
+		}
 	}
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(context.Background(), 8, nil,
-		func(context.Context, int) (int, error) { return 0, nil })
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty map: %v %v", got, err)
+	for _, pol := range []Policy{failFast, {}} {
+		got, fails, err := MapPolicy(context.Background(), 8, nil, pol,
+			func(context.Context, int) (int, error) { return 0, nil })
+		if err != nil || len(got) != 0 || fails != nil {
+			t.Fatalf("fail-fast=%v: empty map: %v %v %v", pol.FailFast, got, fails, err)
+		}
 	}
 }
 
@@ -79,7 +88,7 @@ func TestMapErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, width := range []int{1, 4} {
-		got, err := Map(context.Background(), width, items,
+		got, _, err := MapPolicy(context.Background(), width, items, failFast,
 			func(_ context.Context, v int) (int, error) {
 				if v == 3 || v == 6 {
 					return 0, fmt.Errorf("item %d: %w", v, boom)
@@ -95,107 +104,104 @@ func TestMapErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestMapReturnsLowestIndexError: item 0 fails slowly, item 5 fails
+// fast (while item 0 is in flight); the failure reported must still be
+// item 0's (the one a serial loop would have hit first).
 func TestMapReturnsLowestIndexError(t *testing.T) {
-	// Item 0 fails slowly, item 5 fails fast; the error reported must
-	// still be item 0's (the one a serial loop would have hit first).
-	var release sync.WaitGroup
+	var zeroIn, release sync.WaitGroup
+	zeroIn.Add(1)
 	release.Add(1)
-	_, err := Map(context.Background(), 8, []int{0, 1, 2, 3, 4, 5},
+	_, fails, err := MapPolicy(context.Background(), 8, []int{0, 1, 2, 3, 4, 5}, failFast,
 		func(_ context.Context, v int) (int, error) {
 			switch v {
 			case 0:
+				zeroIn.Done()
 				release.Wait()
 				return 0, errors.New("slow failure at 0")
 			case 5:
+				zeroIn.Wait()
 				defer release.Done()
 				return 0, errors.New("fast failure at 5")
 			}
 			return v, nil
 		})
-	if err == nil || err.Error() != "slow failure at 0" {
+	var te *TaskError
+	if !errors.As(err, &te) || te.Index != 0 || te.Err.Error() != "slow failure at 0" {
 		t.Fatalf("err = %v, want the index-0 failure", err)
+	}
+	if len(fails) != 2 || fails[0] != te || fails[1].Index != 5 {
+		t.Fatalf("failures = %+v, want items 0 and 5 in index order", fails)
 	}
 }
 
 func TestMapErrorStopsNewWork(t *testing.T) {
-	var started atomic.Int64
-	_, err := Map(context.Background(), 2, make([]int, 1000),
-		func(context.Context, int) (int, error) {
-			if started.Add(1) == 1 {
-				return 0, errors.New("first item fails")
-			}
-			time.Sleep(100 * time.Microsecond)
-			return 0, nil
-		})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if n := started.Load(); n == 1000 {
-		t.Fatal("error did not stop the sweep early")
+	for _, fail := range []func() (int, error){
+		func() (int, error) { return 0, errors.New("first item fails") },
+		func() (int, error) { panic("first item explodes") },
+	} {
+		var started atomic.Int64
+		_, _, err := MapPolicy(context.Background(), 2, make([]int, 1000), failFast,
+			func(context.Context, int) (int, error) {
+				if started.Add(1) == 1 {
+					return fail()
+				}
+				time.Sleep(100 * time.Microsecond)
+				return 0, nil
+			})
+		if err == nil {
+			t.Fatal("expected error")
+		}
+		if n := started.Load(); n == 1000 {
+			t.Fatal("fail-fast error did not stop the sweep early")
+		}
 	}
 }
 
+// TestMapContextCancellation: caller-level cancellation stops new work
+// and is an interruption, not a completion — in either mode the sweep
+// returns the context error so partial results aren't mistaken for a
+// finished (or degraded-but-finished) grid.
 func TestMapContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, err := Map(ctx, 2, make([]int, 1000),
-			func(ctx context.Context, _ int) (int, error) {
-				if started.Add(1) == 1 {
-					cancel()
-				}
-				return 0, nil
-			})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("err = %v, want context.Canceled", err)
+	for _, pol := range []Policy{failFast, {}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, _, err := MapPolicy(ctx, 2, make([]int, 1000), pol,
+				func(ctx context.Context, _ int) (int, error) {
+					if started.Add(1) == 1 {
+						cancel()
+					}
+					return 0, nil
+				})
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Errorf("fail-fast=%v: res=%v err=%v, want context.Canceled", pol.FailFast, res, err)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("cancellation did not stop the sweep")
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancellation did not stop the map")
-	}
-	if n := started.Load(); n == 1000 {
-		t.Fatal("cancellation did not stop new work")
+		if n := started.Load(); n == 1000 {
+			t.Fatalf("fail-fast=%v: cancellation did not stop new work", pol.FailFast)
+		}
 	}
 }
 
 func TestMapPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, width := range []int{1, 4} {
-		_, err := Map(ctx, width, []int{1, 2, 3},
-			func(context.Context, int) (int, error) { return 0, nil })
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("width %d: err = %v, want context.Canceled", width, err)
+	for _, pol := range []Policy{failFast, {}} {
+		for _, width := range []int{1, 4} {
+			var ran atomic.Int64
+			_, _, err := MapPolicy(ctx, width, []int{1, 2, 3}, pol,
+				func(context.Context, int) (int, error) { ran.Add(1); return 0, nil })
+			if !errors.Is(err, context.Canceled) || ran.Load() != 0 {
+				t.Fatalf("fail-fast=%v width %d: err = %v after %d items, want context.Canceled before any",
+					pol.FailFast, width, err, ran.Load())
+			}
 		}
-	}
-}
-
-func TestSweep(t *testing.T) {
-	out := make([]int, 64)
-	err := Sweep(context.Background(), 8, len(out), func(_ context.Context, i int) error {
-		out[i] = i + 1
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	boom := errors.New("boom")
-	err = Sweep(context.Background(), 4, 16, func(_ context.Context, i int) error {
-		if i == 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("sweep err = %v", err)
 	}
 }

@@ -1,12 +1,12 @@
 package parallel
 
-// Resilient sweep execution: MapPolicy is Map with per-item panic
-// isolation, a bounded-retry policy for transient failures, and a
-// configurable failure mode, so a multi-hour campaign survives one
-// pathological cell instead of tearing down atomically. Failures come
-// back as structured TaskErrors (item index, config digest, attempt
-// count, elapsed time, panic stack) that the experiment layer turns
-// into report entries and metrics.
+// Resilient sweep execution: MapPolicy is the one worker pool. Every
+// item runs under a recover, so a pathological cell becomes a
+// structured TaskError (item index, config digest, panic stack)
+// instead of tearing the process down, and the policy decides whether
+// one failure cancels the sweep or the sweep runs to completion with
+// its failures listed. The experiment layer turns TaskErrors into
+// report entries and metrics.
 
 import (
 	"context"
@@ -15,68 +15,20 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// FailMode selects how a resilient sweep reacts to a failed work item.
-type FailMode int
-
-const (
-	// FailFast cancels the sweep at the first failure; the error of the
-	// lowest-index failure is returned, like Map.
-	FailFast FailMode = iota
-	// FailCollect runs every item to completion and reports all
-	// failures together as one *SweepError; healthy results are still
-	// returned.
-	FailCollect
-	// FailDegrade runs every item and returns the healthy results with
-	// the failures listed separately; the sweep itself succeeds, so
-	// callers can produce a partial grid with failed cells marked.
-	FailDegrade
-)
-
-// String names the mode as accepted by the CLI -fail-mode flag.
-func (m FailMode) String() string {
-	switch m {
-	case FailFast:
-		return "fail-fast"
-	case FailCollect:
-		return "collect"
-	case FailDegrade:
-		return "degrade"
-	default:
-		return fmt.Sprintf("FailMode(%d)", int(m))
-	}
-}
-
-// ParseFailMode maps a CLI flag value onto a FailMode.
-func ParseFailMode(s string) (FailMode, error) {
-	switch s {
-	case "fail-fast":
-		return FailFast, nil
-	case "collect":
-		return FailCollect, nil
-	case "degrade":
-		return FailDegrade, nil
-	default:
-		return FailFast, fmt.Errorf("unknown fail mode %q (fail-fast | collect | degrade)", s)
-	}
-}
-
-// TaskError describes one failed work item: which item, how it failed
-// (error or recovered panic), how many attempts were made, and how
-// long the item ran in total. Digest carries the caller's description
-// of the item's configuration so a failure in a multi-hour sweep names
-// its cell without cross-referencing the job list.
+// TaskError describes one failed work item: which item and how it
+// failed (error or recovered panic). Digest carries the caller's
+// description of the item's configuration so a failure in a
+// multi-hour sweep names its cell without cross-referencing the job
+// list.
 type TaskError struct {
 	Index    int
 	Digest   string
-	Attempts int
-	Elapsed  time.Duration
 	Panicked bool
-	// Stack is the raw panic stack (debug.Stack) of the final attempt;
-	// empty unless Panicked. CleanStack strips its nondeterministic
-	// parts for report embedding.
+	// Stack is the raw panic stack (debug.Stack); empty unless
+	// Panicked. CleanStack strips its nondeterministic parts for
+	// report embedding.
 	Stack string
 	Err   error
 }
@@ -90,9 +42,6 @@ func (e *TaskError) Error() string {
 	verb := "failed"
 	if e.Panicked {
 		verb = "panicked"
-	}
-	if e.Attempts > 1 {
-		return fmt.Sprintf("%s %s after %d attempts: %v", what, verb, e.Attempts, e.Err)
 	}
 	return fmt.Sprintf("%s %s: %v", what, verb, e.Err)
 }
@@ -140,101 +89,32 @@ func CleanStack(s string) string {
 	return strings.Join(out, "\n")
 }
 
-// SweepError aggregates every failure of a FailCollect sweep.
-type SweepError struct {
-	Total    int // items in the sweep
-	Failures []*TaskError
-}
-
-// Error summarizes the failures, spelling out the first few.
-func (e *SweepError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d of %d tasks failed", len(e.Failures), e.Total)
-	for i, f := range e.Failures {
-		if i == 3 {
-			fmt.Fprintf(&b, "; and %d more", len(e.Failures)-3)
-			break
-		}
-		fmt.Fprintf(&b, "; %v", f)
-	}
-	return b.String()
-}
-
-// Unwrap exposes the lowest-index failure, so errors.Is/As see the
-// same error a FailFast sweep would have returned.
-func (e *SweepError) Unwrap() error {
-	if len(e.Failures) == 0 {
-		return nil
-	}
-	return e.Failures[0]
-}
-
 // Policy configures MapPolicy.
 type Policy struct {
-	Mode FailMode
-	// Retries is the per-item retry budget beyond the first attempt.
-	// Only errors Retryable reports true for are retried; panics never
-	// are (a deterministic simulation panics the same way every time).
-	Retries int
-	// Backoff is the sleep before the first retry, doubling with each
-	// further attempt (capped at 30s). Zero retries immediately.
-	Backoff time.Duration
-	// Retryable classifies an error as transient. Nil disables retries.
-	Retryable func(error) bool
+	// FailFast cancels the sweep at the first failure. Otherwise every
+	// item runs and the failures come back beside the healthy results,
+	// so callers can produce a partial grid with failed cells marked.
+	FailFast bool
 	// Digest, when non-nil, labels item i in failures — conventionally
 	// a human-readable config digest of the sweep cell.
 	Digest func(i int) string
-	// OnRetry, when non-nil, observes each retry before its backoff
-	// (feeds the sweep retry counters). Called from worker goroutines.
-	OnRetry func(i, attempt int, err error)
 }
 
-// maxBackoff caps the exponential retry backoff.
-const maxBackoff = 30 * time.Second
-
-// backoffFor returns the sleep preceding retry number attempt (1-based
-// count of completed attempts).
-func backoffFor(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	d := base << (attempt - 1)
-	if d <= 0 || d > maxBackoff {
-		return maxBackoff
-	}
-	return d
-}
-
-// sleepCtx sleeps for d unless the context is cancelled first; it
-// reports whether the full sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// MapPolicy applies f to every element of items like Map, with the
-// sweep-survival semantics of pol: each item runs under a recover so a
-// panicking cell becomes a *TaskError instead of tearing down the
-// process, transient errors are retried with exponential backoff, and
-// the failure mode decides whether one bad cell cancels the sweep
-// (FailFast), fails it after running everything (FailCollect), or
-// degrades it to a partial result set (FailDegrade).
+// MapPolicy applies f to every element of items using at most
+// Width(width) concurrent workers and returns the results in input
+// order, so healthy cells are byte-identical to a serial run at any
+// width. Each item runs under a recover: a panicking item becomes a
+// *TaskError carrying its stack, exactly like an item that returned an
+// error.
 //
-// Results are assembled in input order and healthy cells are
-// byte-identical to a serial run at any width. Failures are returned
-// sorted by item index; failed cells hold the zero R. The returned
-// error is the lowest-index *TaskError (FailFast), a *SweepError
-// (FailCollect with failures), the context's error if the sweep was
-// interrupted, or nil (FailDegrade, or no failures).
+// Failures are returned sorted by item index; failed items hold the
+// zero R. Under pol.FailFast the first failure cancels the derived
+// context, no further items start, the partial results are discarded,
+// and the returned error is the lowest-index *TaskError — panic or
+// error alike. Otherwise the returned error is nil once every item has
+// run. Either way, a cancelled ctx with no failure to report returns
+// the context's error: an interrupted sweep must not be mistaken for a
+// complete (or degraded-but-complete) one.
 func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 	f func(context.Context, T) (R, error)) ([]R, []*TaskError, error) {
 	if ctx == nil {
@@ -251,7 +131,7 @@ func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 	}
 	wctx := ctx
 	cancel := func() {}
-	if pol.Mode == FailFast {
+	if pol.FailFast {
 		wctx, cancel = context.WithCancel(ctx)
 	}
 	defer cancel()
@@ -262,52 +142,28 @@ func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 		mu       sync.Mutex
 		failures []*TaskError
 	)
-	record := func(te *TaskError) {
+	runItem := func(i int) {
+		r, err, pv, stack, panicked := guard(wctx, items[i], f)
+		if !panicked && err == nil {
+			results[i] = r
+			return
+		}
+		te := &TaskError{Index: i, Panicked: panicked, Err: err}
+		if pol.Digest != nil {
+			te.Digest = pol.Digest(i)
+		}
+		if panicked {
+			te.Stack = stack
+			if perr, ok := pv.(error); ok {
+				te.Err = perr
+			} else {
+				te.Err = fmt.Errorf("panic: %v", pv)
+			}
+		}
 		mu.Lock()
 		failures = append(failures, te)
 		mu.Unlock()
-		if pol.Mode == FailFast {
-			cancel()
-		}
-	}
-	runItem := func(i int) {
-		start := time.Now()
-		for attempt := 1; ; attempt++ {
-			r, err, pv, stack, panicked := guard(wctx, items[i], f)
-			if !panicked && err == nil {
-				results[i] = r
-				return
-			}
-			te := &TaskError{Index: i, Attempts: attempt, Panicked: panicked, Err: err}
-			if pol.Digest != nil {
-				te.Digest = pol.Digest(i)
-			}
-			if panicked {
-				te.Stack = stack
-				if perr, ok := pv.(error); ok {
-					te.Err = perr
-				} else {
-					te.Err = fmt.Errorf("panic: %v", pv)
-				}
-			}
-			retry := !panicked && attempt <= pol.Retries &&
-				pol.Retryable != nil && pol.Retryable(te.Err) && wctx.Err() == nil
-			if !retry {
-				te.Elapsed = time.Since(start)
-				record(te)
-				return
-			}
-			if pol.OnRetry != nil {
-				pol.OnRetry(i, attempt, te.Err)
-			}
-			if !sleepCtx(wctx, backoffFor(pol.Backoff, attempt)) {
-				// Cancelled mid-backoff: report the last failure rather
-				// than silently dropping the cell.
-				te.Elapsed = time.Since(start)
-				record(te)
-				return
-			}
-		}
+		cancel()
 	}
 	wg.Add(w)
 	for range w {
@@ -319,35 +175,17 @@ func MapPolicy[T, R any](ctx context.Context, width int, items []T, pol Policy,
 					return
 				}
 				runItem(i)
-				if pol.Mode == FailFast && wctx.Err() != nil {
-					return
-				}
 			}
 		}()
 	}
 	wg.Wait()
 	sort.Slice(failures, func(a, b int) bool { return failures[a].Index < failures[b].Index })
 
-	if pol.Mode == FailFast {
-		if len(failures) > 0 {
-			return nil, failures, failures[0]
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		return results, nil, nil
+	if pol.FailFast && len(failures) > 0 {
+		return nil, failures, failures[0]
 	}
-	// Collect / degrade: an interrupted sweep is a campaign-level
-	// failure regardless of mode — the caller must not mistake the
-	// partial results for a degraded-but-complete grid.
 	if err := ctx.Err(); err != nil {
 		return nil, failures, err
-	}
-	if len(failures) == 0 {
-		return results, nil, nil
-	}
-	if pol.Mode == FailCollect {
-		return results, failures, &SweepError{Total: n, Failures: failures}
 	}
 	return results, failures, nil
 }

@@ -6,75 +6,18 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// TestMapPanicRacingCancellation drives a panic that lands while the
-// derived context is already cancelled (a lower-index error cancelled
-// the sweep first). The panic must still surface: it marks a bug, and
-// swallowing it because of the race would hide that bug behind a
-// routine error.
-func TestMapPanicRacingCancellation(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		var oneInFlight, zeroFailed sync.WaitGroup
-		oneInFlight.Add(1)
-		zeroFailed.Add(1)
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("round %d: panic swallowed after cancellation", round)
-				}
-				wp, ok := r.(*WorkerPanic)
-				if !ok {
-					t.Fatalf("round %d: recovered %T, want *WorkerPanic", round, r)
-				}
-				if wp.Index != 1 || wp.Value != "late panic" {
-					t.Fatalf("round %d: got panic %+v", round, wp)
-				}
-				if !strings.Contains(wp.Stack, "resilient_test.go") {
-					t.Fatalf("round %d: stack does not point at the panic site:\n%s", round, wp.Stack)
-				}
-			}()
-			_, _ = Map(context.Background(), 2, []int{0, 1},
-				func(ctx context.Context, v int) (int, error) {
-					if v == 0 {
-						// Error only once item 1 is in flight, so the
-						// cancellation this error triggers races item 1's
-						// panic rather than preventing item 1 from starting.
-						oneInFlight.Wait()
-						defer zeroFailed.Done()
-						return 0, errors.New("early error at 0")
-					}
-					oneInFlight.Done()
-					zeroFailed.Wait()
-					for ctx.Err() == nil {
-						time.Sleep(10 * time.Microsecond)
-					}
-					panic("late panic")
-				})
-			t.Fatalf("round %d: Map returned instead of panicking", round)
-		}()
-	}
-}
-
-// TestMapPanicRacingParentCancellation: same race, but the
-// cancellation comes from the caller's own context rather than an
-// erroring sibling. The panic still outranks context.Canceled.
+// TestMapPanicRacingParentCancellation: a panic that lands after the
+// caller's own context was cancelled still surfaces as the sweep's
+// error — a recorded failure outranks context.Canceled, so a bug is not
+// hidden behind a routine interruption.
 func TestMapPanicRacingParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var oneInFlight sync.WaitGroup
 	oneInFlight.Add(1)
-	defer func() {
-		r := recover()
-		wp, ok := r.(*WorkerPanic)
-		if !ok || wp.Value != "post-cancel panic" {
-			t.Fatalf("recovered %v, want the worker panic", r)
-		}
-	}()
-	_, _ = Map(ctx, 2, []int{0, 1},
+	_, _, err := MapPolicy(ctx, 2, []int{0, 1}, Policy{FailFast: true},
 		func(ctx context.Context, v int) (int, error) {
 			if v == 0 {
 				oneInFlight.Wait()
@@ -85,79 +28,53 @@ func TestMapPanicRacingParentCancellation(t *testing.T) {
 			<-ctx.Done()
 			panic("post-cancel panic")
 		})
-	t.Fatal("Map returned instead of panicking")
+	var te *TaskError
+	if !errors.As(err, &te) || !te.Panicked || te.Index != 1 ||
+		te.Err.Error() != "panic: post-cancel panic" {
+		t.Fatalf("err = %v, want the item-1 panic", err)
+	}
 }
 
-// TestMapLowestIndexPanic: when several items panic, the re-raised
-// panic is the lowest-index one — the same guarantee Map documents for
-// errors.
+// TestMapLowestIndexPanic: fail-fast returns the lowest-index failure
+// whatever its kind — a slow panic at item 0 outranks a fast error at
+// item 3 (in flight together), and the panic arrives as a value
+// carrying the worker's stack, never as a re-raised panic.
 func TestMapLowestIndexPanic(t *testing.T) {
-	var release sync.WaitGroup
+	var zeroIn, release sync.WaitGroup
+	zeroIn.Add(1)
 	release.Add(1)
-	defer func() {
-		r := recover()
-		wp, ok := r.(*WorkerPanic)
-		if !ok {
-			t.Fatalf("recovered %T, want *WorkerPanic", r)
-		}
-		if wp.Index != 0 {
-			t.Fatalf("re-raised panic from item %d, want item 0", wp.Index)
-		}
-	}()
-	_, _ = Map(context.Background(), 8, []int{0, 1, 2, 3},
+	_, _, err := MapPolicy(context.Background(), 8, []int{0, 1, 2, 3}, Policy{FailFast: true},
 		func(_ context.Context, v int) (int, error) {
 			switch v {
 			case 0:
+				zeroIn.Done()
 				release.Wait() // panic last...
 				panic("slow panic at 0")
 			case 3:
+				zeroIn.Wait()
 				defer release.Done()
-				panic("fast panic at 3") // ...after item 3 already panicked
+				return 0, errors.New("fast error at 3") // ...after item 3 failed
 			}
 			return v, nil
 		})
-	t.Fatal("Map returned instead of panicking")
-}
-
-// TestMapSerialPathPanics: width 1 takes the no-goroutine fast path;
-// the panic unwinds to the caller directly rather than as WorkerPanic.
-func TestMapSerialPathPanics(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "serial panic" {
-			t.Fatalf("recovered %v, want the raw panic value", r)
-		}
-	}()
-	_, _ = Map(context.Background(), 1, []int{0},
-		func(context.Context, int) (int, error) { panic("serial panic") })
-	t.Fatal("Map returned instead of panicking")
-}
-
-func TestParseFailMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want FailMode
-	}{{"fail-fast", FailFast}, {"collect", FailCollect}, {"degrade", FailDegrade}} {
-		got, err := ParseFailMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseFailMode(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("FailMode round-trip: %q -> %q", tc.in, got.String())
-		}
+	var te *TaskError
+	if !errors.As(err, &te) || te.Index != 0 || !te.Panicked {
+		t.Fatalf("err = %v, want the item-0 panic", err)
 	}
-	if _, err := ParseFailMode("explode"); err == nil {
-		t.Fatal("ParseFailMode accepted garbage")
+	if !strings.Contains(te.Stack, "resilient_test.go") {
+		t.Fatalf("stack does not point at the panic site:\n%s", te.Stack)
 	}
 }
 
-// TestMapPolicyDegrade: a panicking cell and an erroring cell in
-// degrade mode leave the sweep healthy — full-length results with the
-// failed cells zeroed, failures reported structurally, nil error.
+// TestMapPolicyDegrade: a panicking cell and an erroring cell without
+// fail-fast leave the sweep healthy — every item runs, full-length
+// results with the failed cells zeroed, failures reported
+// structurally, nil error.
 func TestMapPolicyDegrade(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5}
 	for _, width := range []int{1, 3} {
 		res, fails, err := MapPolicy(context.Background(), width, items,
-			Policy{Mode: FailDegrade, Digest: func(i int) string { return fmt.Sprintf("cell%d", i) }},
+			Policy{Digest: func(i int) string { return fmt.Sprintf("cell%d", i) }},
 			func(_ context.Context, v int) (int, error) {
 				switch v {
 				case 2:
@@ -188,146 +105,51 @@ func TestMapPolicyDegrade(t *testing.T) {
 	}
 }
 
-// TestMapPolicyCollect: everything runs, all failures aggregate into
-// one SweepError whose Unwrap chain reaches the lowest-index failure.
-func TestMapPolicyCollect(t *testing.T) {
-	var ran atomic.Int64
-	boom := errors.New("boom")
-	_, fails, err := MapPolicy(context.Background(), 4, make([]int, 20),
-		Policy{Mode: FailCollect},
-		func(_ context.Context, _ int) (int, error) {
-			if n := ran.Add(1); n%5 == 0 {
-				return 0, boom
-			}
-			return 1, nil
-		})
-	if ran.Load() != 20 {
-		t.Fatalf("collect mode ran only %d/20 items", ran.Load())
-	}
-	var se *SweepError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want *SweepError", err)
-	}
-	if len(se.Failures) != len(fails) || se.Total != 20 {
-		t.Fatalf("SweepError = %+v vs fails %d", se, len(fails))
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("SweepError does not unwrap to the underlying failure: %v", err)
-	}
-}
-
 // TestMapPolicyFailFast: the sweep cancels early and returns the
-// lowest-index TaskError; a panic becomes an error value, not a panic.
+// lowest-index TaskError; a panic becomes an error value, not a panic,
+// at every width.
 func TestMapPolicyFailFast(t *testing.T) {
-	var started atomic.Int64
-	_, fails, err := MapPolicy(context.Background(), 2, make([]int, 1000),
-		Policy{Mode: FailFast},
-		func(_ context.Context, _ int) (int, error) {
-			if started.Add(1) == 1 {
-				panic("first cell explodes")
-			}
-			time.Sleep(100 * time.Microsecond)
-			return 0, nil
-		})
-	var te *TaskError
-	if !errors.As(err, &te) || !te.Panicked {
-		t.Fatalf("err = %v, want a panicked *TaskError", err)
-	}
-	if len(fails) == 0 || fails[0] != te {
-		t.Fatalf("returned error is not the lowest-index failure")
-	}
-	if n := started.Load(); n == 1000 {
-		t.Fatal("fail-fast did not stop the sweep early")
+	for _, width := range []int{1, 2} {
+		_, fails, err := MapPolicy(context.Background(), width, []int{0, 1, 2}, Policy{FailFast: true},
+			func(_ context.Context, v int) (int, error) {
+				if v == 1 {
+					panic("cell explodes")
+				}
+				return v, nil
+			})
+		var te *TaskError
+		if !errors.As(err, &te) || !te.Panicked || te.Index != 1 {
+			t.Fatalf("width %d: err = %v, want a panicked *TaskError for item 1", width, err)
+		}
+		if len(fails) == 0 || fails[0] != te {
+			t.Fatalf("width %d: returned error is not the lowest-index failure", width)
+		}
 	}
 }
 
-// TestMapPolicyRetries: a transiently failing item succeeds within its
-// retry budget; attempts are counted and OnRetry observes each one.
-func TestMapPolicyRetries(t *testing.T) {
-	var attempts atomic.Int64
-	var retries atomic.Int64
-	transient := errors.New("transient")
-	res, fails, err := MapPolicy(context.Background(), 1, []int{0},
-		Policy{
-			Mode:      FailDegrade,
-			Retries:   3,
-			Retryable: func(err error) bool { return errors.Is(err, transient) },
-			OnRetry:   func(i, attempt int, err error) { retries.Add(1) },
-		},
-		func(_ context.Context, _ int) (int, error) {
-			if attempts.Add(1) < 3 {
-				return 0, transient
-			}
-			return 42, nil
-		})
-	if err != nil || len(fails) != 0 || res[0] != 42 {
-		t.Fatalf("retry sweep: res=%v fails=%v err=%v", res, fails, err)
-	}
-	if attempts.Load() != 3 || retries.Load() != 2 {
-		t.Fatalf("attempts=%d retries=%d, want 3 and 2", attempts.Load(), retries.Load())
-	}
-}
-
-// TestMapPolicyRetryBudgetExhausted: a persistently failing item
-// reports the full attempt count in its TaskError.
-func TestMapPolicyRetryBudgetExhausted(t *testing.T) {
-	stubborn := errors.New("stubborn")
-	_, fails, err := MapPolicy(context.Background(), 1, []int{0},
-		Policy{Mode: FailDegrade, Retries: 2, Retryable: func(error) bool { return true }},
-		func(_ context.Context, _ int) (int, error) { return 0, stubborn })
-	if err != nil || len(fails) != 1 {
-		t.Fatalf("fails=%v err=%v", fails, err)
-	}
-	if fails[0].Attempts != 3 || !errors.Is(fails[0], stubborn) {
-		t.Fatalf("failure = %+v, want 3 attempts wrapping stubborn", fails[0])
-	}
-}
-
-// TestMapPolicyPanicsNeverRetried: the simulator is deterministic, so
-// a panicking cell panics identically on every attempt — retrying it
-// only burns time.
-func TestMapPolicyPanicsNeverRetried(t *testing.T) {
-	var attempts atomic.Int64
-	_, fails, _ := MapPolicy(context.Background(), 1, []int{0},
-		Policy{Mode: FailDegrade, Retries: 5, Retryable: func(error) bool { return true }},
-		func(_ context.Context, _ int) (int, error) {
-			attempts.Add(1)
-			panic("deterministic panic")
-		})
-	if attempts.Load() != 1 {
-		t.Fatalf("panicking cell attempted %d times, want 1", attempts.Load())
-	}
-	if len(fails) != 1 || fails[0].Attempts != 1 {
-		t.Fatalf("fails = %+v", fails)
-	}
-}
-
-// TestMapPolicyParentCancellation: caller-level cancellation is an
-// interruption, not a degraded completion — even degrade mode must
-// return the context error so partial results aren't mistaken for a
-// finished grid.
+// TestMapPolicyParentCancellation: caller-level cancellation of a
+// sweep that is not fail-fast is an interruption, not a degraded
+// completion — the context error comes back so partial results aren't
+// mistaken for a finished grid.
 func TestMapPolicyParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int64
-	_, _, err := MapPolicy(ctx, 2, make([]int, 1000),
-		Policy{Mode: FailDegrade},
+	var started sync.Once
+	res, _, err := MapPolicy(ctx, 2, make([]int, 1000), Policy{},
 		func(context.Context, int) (int, error) {
-			if started.Add(1) == 3 {
-				cancel()
-			}
+			started.Do(cancel)
 			return 0, nil
 		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("res=%v err = %v, want context.Canceled and no results", res, err)
 	}
 }
 
 func TestTaskErrorRendering(t *testing.T) {
-	te := &TaskError{Index: 7, Digest: "nW=4 nB=8", Attempts: 3, Err: errors.New("boom")}
-	if got := te.Error(); got != "task 7 (nW=4 nB=8) failed after 3 attempts: boom" {
+	te := &TaskError{Index: 7, Digest: "nW=4 nB=8", Err: errors.New("boom")}
+	if got := te.Error(); got != "task 7 (nW=4 nB=8) failed: boom" {
 		t.Fatalf("Error() = %q", got)
 	}
-	te = &TaskError{Index: 2, Panicked: true, Attempts: 1, Err: errors.New("panic: bad")}
+	te = &TaskError{Index: 2, Panicked: true, Err: errors.New("panic: bad")}
 	if got := te.Error(); got != "task 2 panicked: panic: bad" {
 		t.Fatalf("Error() = %q", got)
 	}
@@ -338,8 +160,7 @@ func TestTaskErrorRendering(t *testing.T) {
 // offsets are the only parts that differ run to run.
 func TestCleanStackDeterministic(t *testing.T) {
 	grab := func() string {
-		_, fails, _ := MapPolicy(context.Background(), 2, []int{0, 1},
-			Policy{Mode: FailDegrade},
+		_, fails, _ := MapPolicy(context.Background(), 2, []int{0, 1}, Policy{},
 			func(_ context.Context, v int) (int, error) {
 				if v == 1 {
 					panic("same path")
@@ -360,21 +181,5 @@ func TestCleanStackDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a, "resilient_test.go") {
 		t.Fatalf("cleaned stack lost the panic site:\n%s", a)
-	}
-}
-
-func TestBackoffFor(t *testing.T) {
-	base := 10 * time.Millisecond
-	if d := backoffFor(base, 1); d != base {
-		t.Fatalf("first backoff = %v", d)
-	}
-	if d := backoffFor(base, 3); d != 40*time.Millisecond {
-		t.Fatalf("third backoff = %v", d)
-	}
-	if d := backoffFor(base, 60); d != maxBackoff {
-		t.Fatalf("overflowed backoff = %v, want cap %v", d, maxBackoff)
-	}
-	if d := backoffFor(0, 5); d != 0 {
-		t.Fatalf("zero base backoff = %v", d)
 	}
 }

@@ -185,60 +185,39 @@ func BenchmarkHeadline(b *testing.B) {
 	b.ReportMetric(h.InvEDPGain, "invEDPgain")
 }
 
-// BenchmarkHeadlineRun is the perf-trajectory anchor recorded by
-// `make bench-json`: one multicore headline-class run (the paper's
-// LPDDR-TSI 2×8 configuration under a mixed SPEC profile) timed end to
-// end. It reports simulated-time-per-wall-time so BENCH_<rev>.json can
-// track simulator throughput, not just ns/op.
-func BenchmarkHeadlineRun(b *testing.B) {
-	var simPS sim.Time
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys := config.DefaultSystem(config.MemPreset(config.LPDDRTSI, 2, 8))
-		sys.Cores = 16
-		profs := make([]workload.Profile, sys.Cores)
-		for c := range profs {
-			profs[c] = workload.MustGet([]string{"429.mcf", "470.lbm", "433.milc", "462.libquantum"}[c%4])
-		}
-		spec := system.Spec{Sys: sys, Profiles: profs, InstrPerCore: 8000,
-			WarmupInstr: 4000, Seed: 42}
-		res, err := system.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simPS += res.RuntimePS
+// headlineRunSpec is one multicore headline-class run: the paper's
+// LPDDR-TSI 2×8 configuration under a mixed SPEC profile, 16 cores.
+// lim arms the run's watchdog (nil = unarmed).
+func headlineRunSpec(lim *system.Limits) system.Spec {
+	sys := config.DefaultSystem(config.MemPreset(config.LPDDRTSI, 2, 8))
+	sys.Cores = 16
+	profs := make([]workload.Profile, sys.Cores)
+	for c := range profs {
+		profs[c] = workload.MustGet([]string{"429.mcf", "470.lbm", "433.milc", "462.libquantum"}[c%4])
 	}
-	b.StopTimer()
-	wall := b.Elapsed().Seconds()
-	if wall > 0 {
-		b.ReportMetric(float64(simPS)*1e-12/wall, "sim_s/wall_s")
-	}
+	return system.Spec{Sys: sys, Profiles: profs, InstrPerCore: 8000,
+		WarmupInstr: 4000, Seed: 42, Limits: lim}
 }
 
-// BenchmarkHeadlineRunLimits is BenchmarkHeadlineRun with the full
-// watchdog armed (context, generous deadline, event budget, livelock
-// detector): comparing the two proves the armed watchdog costs no
-// allocations and under 2% runtime (EXPERIMENTS.md records the
-// measured overhead).
-func BenchmarkHeadlineRunLimits(b *testing.B) {
-	lim := &system.Limits{
+// armedLimits is the full watchdog: context, generous deadline, event
+// budget and livelock detector, none of which trips on the headline run.
+func armedLimits() *system.Limits {
+	return &system.Limits{
 		Ctx:          context.Background(),
 		WallClock:    time.Hour,
 		EventBudget:  1 << 40,
 		StallWindows: 4,
 	}
+}
+
+// benchHeadlineRun times headlineRunSpec(lim) end to end, building the
+// spec inside the loop as a caller would, and reports simulated time
+// per wall time alongside ns/op.
+func benchHeadlineRun(b *testing.B, lim *system.Limits) {
 	var simPS sim.Time
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := config.DefaultSystem(config.MemPreset(config.LPDDRTSI, 2, 8))
-		sys.Cores = 16
-		profs := make([]workload.Profile, sys.Cores)
-		for c := range profs {
-			profs[c] = workload.MustGet([]string{"429.mcf", "470.lbm", "433.milc", "462.libquantum"}[c%4])
-		}
-		spec := system.Spec{Sys: sys, Profiles: profs, InstrPerCore: 8000,
-			WarmupInstr: 4000, Seed: 42, Limits: lim}
-		res, err := system.Run(spec)
+		res, err := system.Run(headlineRunSpec(lim))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,14 +230,22 @@ func BenchmarkHeadlineRunLimits(b *testing.B) {
 	}
 }
 
+// BenchmarkHeadlineRun times one headline-class run; TestAllocBounds
+// pins its allocation count.
+func BenchmarkHeadlineRun(b *testing.B) { benchHeadlineRun(b, nil) }
+
+// BenchmarkHeadlineRunLimits is BenchmarkHeadlineRun with the full
+// watchdog armed: comparing the two shows the armed watchdog's runtime
+// cost (under 2%; EXPERIMENTS.md records the measured overhead), and
+// TestAllocBounds holds it to the unarmed run's allocation bound.
+func BenchmarkHeadlineRunLimits(b *testing.B) { benchHeadlineRun(b, armedLimits()) }
+
 // --- Sweep throughput benchmarks ---
 //
-// The BenchmarkSweepBatched family measures sweep throughput in sweep
-// cells completed per second at the default -j (`benchjson -diff`
-// gates it against regressions). The names keep their "Batched" and
-// "B1" parts so the CI cells/sec gate (-gate-match
-// 'BenchmarkSweepBatched') still matches the committed baseline
-// snapshot and stays armed.
+// These report sweep cells completed per second at the default -j.
+// Speed changes are measured with perfbench/ (its fig8sweep workload)
+// instead; TestAllocBounds pins both sweeps' allocation counts, which
+// their GC share depends on.
 
 // benchSweepCells times fn (one whole sweep of `cells` runs) and
 // reports cells/sec.
@@ -279,7 +266,7 @@ func benchSweepCells(b *testing.B, cells int, fn func() error) {
 // the 3-member spec-high quick set, TPC-H) × the 25-cell (nW,nB) grid.
 const fig8SweepCells = 125
 
-func BenchmarkSweepBatchedFig8B1(b *testing.B) {
+func BenchmarkSweepFig8(b *testing.B) {
 	benchSweepCells(b, fig8SweepCells, func() error {
 		_, err := experiments.Fig8(benchOpts)
 		return err
@@ -290,7 +277,7 @@ func BenchmarkSweepBatchedFig8B1(b *testing.B) {
 // policies, each a multicore run.
 const qosSweepCells = 9
 
-func BenchmarkSweepBatchedQoSB1(b *testing.B) {
+func BenchmarkSweepQoS(b *testing.B) {
 	benchSweepCells(b, qosSweepCells, func() error {
 		_, err := experiments.QoSSweep(benchOpts)
 		return err

@@ -13,8 +13,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -27,6 +29,7 @@ import (
 	"microbank/internal/experiments"
 	"microbank/internal/obs"
 	"microbank/internal/obs/serve"
+	"microbank/internal/parallel"
 	"microbank/internal/sim"
 	"microbank/internal/stats"
 	"microbank/internal/store"
@@ -69,7 +72,6 @@ func main() {
 		eventBudget = flag.Uint64("event-budget", 0, "per-run simulation event budget (0 = none)")
 		failMode    = flag.String("fail-mode", "fail-fast", "sweep reaction to a failed cell: fail-fast | collect | degrade")
 		storeDir    = flag.String("store", "", "content-addressed result store directory: completed sweep cells are committed to it (checksummed, atomic) and replayed from it, byte-identically, on every later run of the same campaign (same experiment and options, any -j)")
-		resume      = flag.Bool("resume", false, "assert that this run resumes a campaign; requires -store (the store replays committed cells on every run, -resume only checks that one is given)")
 		injectSpec  = flag.String("inject", "", "deterministic fault injection for testing, e.g. panic:1,timeout:3 (kinds: panic error timeout budget)")
 	)
 	flag.Parse()
@@ -117,7 +119,7 @@ func main() {
 	}
 
 	res, err := buildResilience(*exp, o, *failMode,
-		*timeout, *eventBudget, *storeDir, *resume, *injectSpec)
+		*timeout, *eventBudget, *storeDir, *injectSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "microbank:", err)
 		os.Exit(1)
@@ -157,7 +159,6 @@ func main() {
 
 	start := time.Now()
 	err = dispatch(*exp, o, report, oflags, *beta, rflags)
-	summarizeFailures(res)
 	if res.Store != nil {
 		st := res.Store.Stats()
 		fmt.Fprintf(os.Stderr, "microbank: store: %d hit(s), %d miss(es), %d new entr(y/ies), %d quarantined\n",
@@ -187,6 +188,7 @@ func main() {
 	if err == nil {
 		err = res.Err() // collect mode: failures mean a nonzero exit
 	}
+	summarizeFailures(os.Stderr, res, err)
 	if agg != nil {
 		agg.Finish(err)
 	}
@@ -204,7 +206,6 @@ func main() {
 		srv.Close()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "microbank:", err)
 		if *pprofOut != "" {
 			pprof.StopCPUProfile()
 		}
@@ -217,11 +218,7 @@ func main() {
 // *experiments.Resilience (the zero value's fail-fast campaign when no
 // flag is set).
 func buildResilience(exp string, o experiments.Options, failMode string,
-	timeout time.Duration, eventBudget uint64, storeDir string, resume bool,
-	inject string) (*experiments.Resilience, error) {
-	if resume && storeDir == "" {
-		return nil, fmt.Errorf("-resume needs -store")
-	}
+	timeout time.Duration, eventBudget uint64, storeDir, inject string) (*experiments.Resilience, error) {
 	mode, err := experiments.ParseFailMode(failMode)
 	if err != nil {
 		return nil, err
@@ -245,20 +242,24 @@ func buildResilience(exp string, o experiments.Options, failMode string,
 	return res, nil
 }
 
-// summarizeFailures prints the campaign's failure records to stderr
-// (stdout stays reserved for the deterministic tables).
-func summarizeFailures(res *experiments.Resilience) {
-	if res.Log == nil {
-		return
+// summarizeFailures writes the run's failures to w (stderr; stdout
+// stays reserved for the deterministic tables): one line per failed
+// sweep cell, addressed by its digest, then the run's error, if any. A
+// fail-fast abort's error is the first failed cell's own
+// *parallel.TaskError, already listed, so the last line only names the
+// abort.
+func summarizeFailures(w io.Writer, res *experiments.Resilience, err error) {
+	if fails := res.Log.Failures(); len(fails) > 0 {
+		fmt.Fprintf(w, "microbank: %d sweep cell(s) failed:\n", len(fails))
+		for _, f := range fails {
+			fmt.Fprintf(w, "microbank:   [%s] %s: %s\n", f.Kind, f.Digest, f.Error)
+		}
+		if errors.As(err, new(*parallel.TaskError)) {
+			err = errors.New("sweep aborted at its first failed cell (-fail-mode fail-fast)")
+		}
 	}
-	fails := res.Log.Failures()
-	if len(fails) == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "microbank: %d sweep cell(s) failed:\n", len(fails))
-	for _, f := range fails {
-		fmt.Fprintf(os.Stderr, "microbank:   sweep %d cell %d [%s] %s: %s\n",
-			f.Sweep, f.Cell, f.Kind, f.Digest, f.Error)
+	if err != nil {
+		fmt.Fprintln(w, "microbank:", err)
 	}
 }
 

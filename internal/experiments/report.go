@@ -135,9 +135,6 @@ func (r *Report) AddGrid(g *GridData) {
 
 // AddFailures copies the campaign's failure records into the report.
 func (r *Report) AddFailures(log *FailureLog) {
-	if log == nil {
-		return
-	}
 	if fails := log.Failures(); len(fails) > 0 {
 		r.Failures = fails
 	}

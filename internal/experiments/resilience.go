@@ -316,8 +316,12 @@ func (l *FailureLog) Len() int {
 
 // Failures returns a copy of the recorded failures, in (sweep, cell)
 // order of recording (sweeps are serial; within a sweep, records are
-// added sorted by cell).
+// added sorted by cell). A nil log, a campaign that ran no sweep, has
+// none.
 func (l *FailureLog) Failures() []ReportFailure {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]ReportFailure(nil), l.fails...)
@@ -352,5 +356,5 @@ func partialUnsupported(exp string, failed []bool) error {
 	if n == 0 {
 		return nil
 	}
-	return fmt.Errorf("%s: %d cell(s) failed and this experiment's reduction has no degraded form; fix the failures and -resume, or rerun with -fail-mode=fail-fast", exp, n)
+	return fmt.Errorf("%s: %d cell(s) failed and this experiment's reduction has no degraded form; fix the failures and rerun with the same -store, or rerun with -fail-mode=fail-fast", exp, n)
 }

@@ -1,10 +1,10 @@
 package memctrl
 
 // Zero-allocation guards for the controller's steady-state hot paths,
-// the memctrl half of `make alloc-guard`. A regression here (a map
+// the memctrl part of `make alloc-guard`. A regression here (a map
 // rebuilt per pass, a closure per retirement, an interface box on the
-// tracer seam) fails loudly instead of silently shifting the benchmark
-// baselines in BENCH_<rev>.json.
+// tracer seam) fails the gate outright instead of showing up only as a
+// slower benchmark.
 
 import (
 	"testing"

@@ -4,7 +4,7 @@ package memctrl
 // selection (best), the full enqueue→drain churn (eval), and PAR-BS
 // batch formation. These are the loops that dominate wall-clock in
 // 64-core sweep runs, so they carry the zero-alloc contract asserted
-// by TestEvalZeroAllocGuard and recorded in BENCH_<rev>.json.
+// by TestEvalZeroAllocGuard.
 
 import (
 	"math/rand"

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,4 +124,40 @@ func TestTraceRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzTraceReader feeds arbitrary bytes to the trace decoder. Load
+// must reject them with an error or accept them, never panic; and an
+// accepted trace must survive Record followed by Load unchanged.
+func FuzzTraceReader(f *testing.F) {
+	var rec bytes.Buffer
+	if err := Record(&rec, NewSynthetic(MustGet("450.soplex"), 0, 99), 8); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec.Bytes())
+	f.Add([]byte("# header\n\n3 1f40 R\n  \n0 80 w\n"))
+	f.Add([]byte("+7 FFFFFFFFFFFFFFFF W\n"))
+	f.Add([]byte("1 40 R extra\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(tr.Gaps) != tr.Len() || tr.Len() == 0 {
+			t.Fatalf("accepted trace with %d gaps and %d accesses", len(tr.Gaps), tr.Len())
+		}
+		var buf bytes.Buffer
+		if err := Record(&buf, tr, tr.Len()); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("re-loading a recorded trace: %v", err)
+		}
+		if !slices.Equal(again.Gaps, tr.Gaps) || !slices.Equal(again.Accs, tr.Accs) {
+			t.Fatalf("Record+Load changed the trace:\n got %v %v\nwant %v %v",
+				again.Gaps, again.Accs, tr.Gaps, tr.Accs)
+		}
+	})
 }

@@ -56,14 +56,17 @@ check-policies:
 	$(GO) test -race -run 'TestSchedulerMatchesMapReference' -count=1 ./internal/memctrl/
 	$(GO) test -race -count=1 ./internal/qos/
 
-# Resilience smoke: a sweep with an injected panicking cell must
-# complete under -fail-mode=degrade with exactly one recorded panic
-# failure in the report (see the Resilience section of EXPERIMENTS.md).
+# Resilience smoke: a sweep with an injected panicking cell must run
+# to completion under -fail-mode=collect, exit 1, and write exactly one
+# recorded panic failure in the report (see the Resilience section of
+# EXPERIMENTS.md).
 resilience-smoke:
-	$(GO) run ./cmd/microbank -exp headline -quick -instr 4000 \
-		-fail-mode degrade -inject panic:1 -report /tmp/resilience-smoke.json
+	@rm -f /tmp/resilience-smoke.json
+	@$(GO) run ./cmd/microbank -exp headline -quick -instr 4000 \
+		-fail-mode collect -inject panic:1 -report /tmp/resilience-smoke.json; \
+		status=$$?; test $$status -eq 1 || { echo "resilience smoke: exit $$status, want 1"; exit 1; }
 	@grep -c '"kind": "panic"' /tmp/resilience-smoke.json | grep -qx 1
-	@echo "resilience smoke: 1 injected panic recorded, sweep degraded cleanly"
+	@echo "resilience smoke: 1 injected panic recorded, partial sweep completed, exit 1"
 
 # Live-observability smoke: a served headline sweep (-j 4) must expose
 # well-formed OpenMetrics with the noc_packets and sweep_failures

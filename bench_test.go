@@ -203,10 +203,9 @@ func headlineRunSpec(lim *system.Limits) system.Spec {
 // budget and livelock detector, none of which trips on the headline run.
 func armedLimits() *system.Limits {
 	return &system.Limits{
-		Ctx:          context.Background(),
-		WallClock:    time.Hour,
-		EventBudget:  1 << 40,
-		StallWindows: 4,
+		Ctx:         context.Background(),
+		WallClock:   time.Hour,
+		EventBudget: 1 << 40,
 	}
 }
 

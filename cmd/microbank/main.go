@@ -70,7 +70,7 @@ func main() {
 
 		timeout     = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = none); exceeded runs fail with a diagnostic snapshot")
 		eventBudget = flag.Uint64("event-budget", 0, "per-run simulation event budget (0 = none)")
-		failMode    = flag.String("fail-mode", "fail-fast", "sweep reaction to a failed cell: fail-fast | collect | degrade")
+		failMode    = flag.String("fail-mode", "fail-fast", "sweep reaction to a failed cell: fail-fast | collect")
 		storeDir    = flag.String("store", "", "content-addressed result store directory: completed sweep cells are committed to it (checksummed, atomic) and replayed from it, byte-identically, on every later run of the same campaign (same experiment and options, any -j)")
 		injectSpec  = flag.String("inject", "", "deterministic fault injection for testing, e.g. panic:1,timeout:3 (kinds: panic error timeout budget)")
 	)
@@ -118,8 +118,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "microbank: serving observability on http://%s (/metrics /events /status /debug/pprof/)\n", srv.Addr())
 	}
 
-	res, err := buildResilience(*exp, o, *failMode,
-		*timeout, *eventBudget, *storeDir, *injectSpec)
+	res, err := buildResilience(*failMode, *timeout, *eventBudget, *storeDir, *injectSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "microbank:", err)
 		os.Exit(1)
@@ -168,8 +167,9 @@ func main() {
 		report.AddFailures(res.Log)
 		// A failed run still flushes its report as valid JSON, marked
 		// aborted, so post-mortems and live consumers can load partial
-		// results. Collect-mode cell failures are not an abort: that run
-		// completed (degraded) and its report carries Failures instead.
+		// results. Collect-mode cell failures are not an abort: a sweep
+		// with a partial form completed (degraded) and its report carries
+		// Failures instead.
 		if err != nil {
 			report.Aborted = err.Error()
 		}
@@ -186,7 +186,7 @@ func main() {
 		}
 	}
 	if err == nil {
-		err = res.Err() // collect mode: failures mean a nonzero exit
+		err = res.Err() // collect mode: any failure means a nonzero exit
 	}
 	summarizeFailures(os.Stderr, res, err)
 	if agg != nil {
@@ -216,9 +216,10 @@ func main() {
 
 // buildResilience turns the resilience flags into the campaign's
 // *experiments.Resilience (the zero value's fail-fast campaign when no
-// flag is set).
-func buildResilience(exp string, o experiments.Options, failMode string,
-	timeout time.Duration, eventBudget uint64, storeDir, inject string) (*experiments.Resilience, error) {
+// flag is set). Sweeps key the store by experiment and options
+// (experiments.CampaignKey).
+func buildResilience(failMode string, timeout time.Duration, eventBudget uint64,
+	storeDir, inject string) (*experiments.Resilience, error) {
 	mode, err := experiments.ParseFailMode(failMode)
 	if err != nil {
 		return nil, err
@@ -233,7 +234,6 @@ func buildResilience(exp string, o experiments.Options, failMode string,
 			return nil, err
 		}
 		res.Store = s
-		res.StoreKey = experiments.CampaignKey(exp, o)
 		if st := s.Stats(); st.Quarantined > 0 {
 			fmt.Fprintf(os.Stderr, "microbank: store: recovery quarantined %d corrupt entr(y/ies); they will be re-simulated\n",
 				st.Quarantined)

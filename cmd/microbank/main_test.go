@@ -18,7 +18,7 @@ func TestSummarizeFailuresListsEachCellOnce(t *testing.T) {
 	for _, mode := range []string{"fail-fast", "collect"} {
 		t.Run(mode, func(t *testing.T) {
 			o := experiments.Options{Quick: true, Instr: 4000, Seed: 42, Parallelism: 1, Exp: "headline"}
-			res, err := buildResilience("headline", o, mode, 0, 0, "", "panic:1")
+			res, err := buildResilience(mode, 0, 0, "", "panic:1")
 			if err != nil {
 				t.Fatal(err)
 			}

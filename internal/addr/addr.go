@@ -205,12 +205,6 @@ func (m *Mapper) LocalBank(l Loc) int {
 	return (l.Rank*m.org.BanksPerRank+l.Bank)*m.org.NW*m.org.NB + l.Micro
 }
 
-// RowBits and ColBits expose field widths for diagnostics.
-func (m *Mapper) RowBits() int { return m.rowBits }
-
-// ColBits returns the number of column (line-index) bits.
-func (m *Mapper) ColBits() int { return m.lowColBits + m.highColBits }
-
 // Layout returns a human-readable description of the bit layout, used
 // by the Fig. 11 experiment printer.
 func (m *Mapper) Layout() string {

@@ -37,7 +37,7 @@ type AblationRow struct {
 func AblationScheduler(o Options) ([]AblationRow, error) {
 	o = o.withDefaults()
 	scheds := []config.Scheduler{config.SchedFCFS, config.SchedFRFCFS, config.SchedPARBS}
-	results, failed, err := mapRuns(o, scheds, func(env runEnv, sched config.Scheduler) (system.Result, error) {
+	results, err := mapRuns(o, scheds, func(env runEnv, sched config.Scheduler) (system.Result, error) {
 		return runMulti(workload.MixHigh().ForCore, config.LPDDRTSI, 1, 1,
 			func(s *config.System) {
 				s.Ctrl.Scheduler = sched
@@ -45,9 +45,6 @@ func AblationScheduler(o Options) ([]AblationRow, error) {
 			}, o, env)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("ablation-scheduler", failed); err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
@@ -81,14 +78,11 @@ func AblationQueueDepth(o Options) ([]AblationRow, error) {
 			jobs = append(jobs, job{cfg, depth})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
+	results, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
 		return runSingle("TPC-H", config.LPDDRTSI, j.cfg[0], j.cfg[1],
 			func(s *config.System) { s.Ctrl.QueueDepth = j.depth }, o, env)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("ablation-queue-depth", failed); err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
@@ -117,14 +111,11 @@ func AblationQueueDepth(o Options) ([]AblationRow, error) {
 func AblationActWindow(o Options) ([]AblationRow, error) {
 	o = o.withDefaults()
 	variants := []bool{false, true}
-	results, failed, err := mapRuns(o, variants, func(env runEnv, noScale bool) (system.Result, error) {
+	results, err := mapRuns(o, variants, func(env runEnv, noScale bool) (system.Result, error) {
 		return runSingle("429.mcf", config.LPDDRTSI, 16, 1,
 			func(s *config.System) { s.Mem.Timing.NoActWindowScaling = noScale }, o, env)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("ablation-act-window", failed); err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
@@ -163,14 +154,11 @@ func AblationBankHash(o Options) ([]AblationRow, error) {
 			jobs = append(jobs, job{cfg, hash})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
+	results, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
 		return runSingle("TPC-H", config.LPDDRTSI, j.cfg[0], j.cfg[1],
 			func(s *config.System) { s.Ctrl.XORBankHash = j.hash }, o, env)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("ablation-bank-hash", failed); err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
@@ -203,7 +191,7 @@ func AblationRefresh(o Options) ([]AblationRow, error) {
 			jobs = append(jobs, job{cfg, mode})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
+	results, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
 		return runSingle("470.lbm", config.LPDDRTSI, j.cfg[0], j.cfg[1],
 			func(s *config.System) {
 				switch j.mode {
@@ -216,9 +204,6 @@ func AblationRefresh(o Options) ([]AblationRow, error) {
 			}, o, env)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("ablation-refresh", failed); err != nil {
 		return nil, err
 	}
 	var rows []AblationRow

@@ -28,7 +28,7 @@ func TestMapRunsFeedsAggregator(t *testing.T) {
 	agg := obs.NewAggregator("test")
 	o := Options{Quick: true, Instr: 6000, Parallelism: 2, Agg: agg}
 	jobs := []int{10, 20, 30}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j int) (system.Result, error) {
+	results, err := mapRuns(o, jobs, func(env runEnv, j int) (system.Result, error) {
 		if env.obs == nil {
 			t.Error("aggregated sweep cell ran without an observer")
 		} else {
@@ -38,9 +38,6 @@ func TestMapRunsFeedsAggregator(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(failed) != 0 { // fail-fast path: no failure mask
-		t.Fatalf("failed mask = %v, want none", failed)
 	}
 	for i, r := range results {
 		if r.IPC != float64(jobs[i]) {
@@ -61,9 +58,9 @@ func TestMapRunsFeedsAggregator(t *testing.T) {
 
 func TestMapRunsAggregatorFailures(t *testing.T) {
 	agg := obs.NewAggregator("test")
-	res := &Resilience{Mode: FailDegrade}
+	res := &Resilience{Mode: FailCollect}
 	o := Options{Quick: true, Instr: 6000, Parallelism: 2, Res: res, Agg: agg}
-	_, failed, err := mapRuns(o, []int{0, 1}, func(_ runEnv, j int) (system.Result, error) {
+	_, failed, err := mapRunsMasked(o, []int{0, 1}, func(_ runEnv, j int) (system.Result, error) {
 		if j == 1 {
 			return system.Result{}, errors.New("hard failure")
 		}

@@ -52,9 +52,9 @@ type Options struct {
 	// results are reduced in job order, so output is byte-identical
 	// at every width.
 	Parallelism int
-	// Progress, when non-nil, is invoked after each completed
-	// simulation of a sweep with the number done so far and the sweep
-	// total (the -progress heartbeat). It is called from worker
+	// Progress, when non-nil, is invoked after each finished cell of a
+	// sweep, failed or not, with the number finished so far and the
+	// sweep total (the -progress heartbeat). It is called from worker
 	// goroutines and must be safe for concurrent use; it must not
 	// write to stdout, which carries the deterministic tables.
 	Progress func(done, total int)
@@ -190,8 +190,8 @@ type GridData struct {
 	Metric   string // "IPC" or "1/EDP"
 	Rel      map[[2]int]float64
 	// Missing marks cells excluded from a degraded reduction (every
-	// contributing run failed under -fail-mode=collect|degrade). Nil on
-	// healthy sweeps.
+	// contributing run failed under -fail-mode=collect). Nil on healthy
+	// sweeps.
 	Missing map[[2]int]bool
 }
 
@@ -235,27 +235,49 @@ func (g *GridData) Table(title string) *stats.Table {
 
 // cellMetrics captures the per-run values grids are built from.
 type cellMetrics struct {
-	ipc    float64
-	edpJs  float64
-	result system.Result
+	ipc   float64
+	edpJs float64
 }
 
 // mapRuns fans independent simulation runs out over o.Parallelism
-// workers. Results come back in job order, so callers reduce them with
-// the exact arithmetic order of the serial loops this layer replaced —
-// parallel output stays byte-identical to serial. The optional
-// Progress callback observes completions (in completion order, which
-// is schedule-dependent); it never influences results.
+// workers and returns their results in job order, or an error if any
+// cell failed: fail-fast's lowest-index *parallel.TaskError, or, after
+// a collect sweep, an error saying the caller's reduction has no
+// degraded form. Experiments that can reduce a partial sweep call
+// mapRunsMasked instead.
+func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Result, error)) ([]system.Result, error) {
+	results, failed, err := mapRunsMasked(o, jobs, run)
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, f := range failed {
+		if f {
+			n++
+		}
+	}
+	if n > 0 {
+		return nil, fmt.Errorf("%d cell(s) failed and this experiment's reduction has no degraded form; fix the failures and rerun with the same -store, or rerun with -fail-mode=fail-fast", n)
+	}
+	return results, nil
+}
+
+// mapRunsMasked is the sweep itself. Results come back in job order,
+// so callers reduce them with the exact arithmetic order of the serial
+// loops this layer replaced — parallel output stays byte-identical to
+// serial. The optional Progress callback observes every finished cell,
+// failed or not (in completion order, which is schedule-dependent); it
+// never influences results.
 //
 // Every sweep runs under parallel.MapPolicy with o.Res's policy (a nil
 // o.Res is the zero Resilience: fail-fast, no store, no injection):
 // panic isolation, per-run limits via the env's lim, store
-// lookup/checkpoint, and fault injection. Failures are logged as
-// report records; fail-fast returns the lowest-index one as a
-// *parallel.TaskError, while under collect/degrade the sweep completes
-// with failed cells marked true in the mask (their Result is the zero
-// value). The mask is nil when no cell failed.
-func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Result, error)) ([]system.Result, []bool, error) {
+// lookup/checkpoint under CampaignKey(o.Exp, o), and fault injection.
+// Failures are logged as report records; fail-fast returns the
+// lowest-index one as a *parallel.TaskError, while under collect the
+// sweep completes with failed cells marked true in the mask (their
+// Result is the zero value).
+func mapRunsMasked[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Result, error)) ([]system.Result, []bool, error) {
 	total := len(jobs)
 	var done atomic.Int64
 	note := func() {
@@ -277,9 +299,10 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 	}
 	r := o.Res
 	base, sweep := r.beginSweep(total)
-	// Collect is degrade at sweep level: every sweep completes with its
-	// failures logged, and the campaign-level verdict (Resilience.Err)
-	// turns the log into a nonzero exit.
+	var key string
+	if r.Store != nil {
+		key = CampaignKey(o.Exp, o)
+	}
 	pol := parallel.Policy{
 		FailFast: r.Mode == FailFast,
 		Digest: func(i int) string {
@@ -288,13 +311,15 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 	}
 	results, fails, err := parallel.MapPolicy(o.ctx(), o.Parallelism, idx, pol,
 		func(_ context.Context, i int) (system.Result, error) {
+			// Deferred, so a cell that errors or panics still counts
+			// toward the sweep's final 100% line.
+			defer note()
 			// The store lookup precedes injection: a replayed cell is not
 			// re-run, so it cannot re-fire an injected fault.
-			if res, ok := r.storeLookup(sweep, i); ok {
+			if res, ok := r.storeLookup(key, sweep, i); ok {
 				if agg != nil {
 					agg.CellReplayed(aggSweep, i)
 				}
-				note()
 				return res, nil
 			}
 			g := base + i
@@ -329,8 +354,7 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 			// re-fail identically) on resume. A checkpoint that cannot
 			// persist degrades — one warning, persistence disabled — and
 			// never fails the healthy cell it was recording.
-			r.storeCheckpoint(sweep, i, res)
-			note()
+			r.storeCheckpoint(key, sweep, i, res)
 			return res, nil
 		})
 	for _, te := range fails {
@@ -344,9 +368,6 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(fails) == 0 {
-		return results, nil, nil
-	}
 	failed := make([]bool, total)
 	for _, te := range fails {
 		failed[te.Index] = true
@@ -355,17 +376,16 @@ func mapRuns[J any](o Options, jobs []J, run func(env runEnv, j J) (system.Resul
 }
 
 // runGridCells runs one workload over the full partition grid, fanning
-// the 25 independent cells out over the worker pool. Failed cells
-// (resilient sweeps under collect/degrade) are absent from the map and
-// listed in the second return value.
-func runGridCells(name string, o Options) (map[[2]int]cellMetrics, map[[2]int]bool, error) {
+// the 25 independent cells out over the worker pool. Cells that failed
+// under -fail-mode=collect are absent from the map.
+func runGridCells(name string, o Options) (map[[2]int]cellMetrics, error) {
 	jobs := make([][2]int, 0, len(Axis)*len(Axis))
 	for _, nB := range Axis {
 		for _, nW := range Axis {
 			jobs = append(jobs, [2]int{nW, nB})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, cfg [2]int) (system.Result, error) {
+	results, failed, err := mapRunsMasked(o, jobs, func(env runEnv, cfg [2]int) (system.Result, error) {
 		res, rerr := runSingle(name, config.LPDDRTSI, cfg[0], cfg[1], nil, o, env)
 		if rerr != nil {
 			return system.Result{}, fmt.Errorf("%s (%d,%d): %w", name, cfg[0], cfg[1], rerr)
@@ -373,101 +393,62 @@ func runGridCells(name string, o Options) (map[[2]int]cellMetrics, map[[2]int]bo
 		return res, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cells := make(map[[2]int]cellMetrics, len(jobs))
-	var failedCells map[[2]int]bool
 	for i, cfg := range jobs {
-		if failed != nil && failed[i] {
-			if failedCells == nil {
-				failedCells = map[[2]int]bool{}
-			}
-			failedCells[cfg] = true
-			continue
-		}
-		cells[cfg] = cellMetrics{
-			ipc:    results[i].IPC,
-			edpJs:  results[i].Breakdown.EDPJs(),
-			result: results[i],
+		if !failed[i] {
+			cells[cfg] = cellMetrics{ipc: results[i].IPC, edpJs: results[i].Breakdown.EDPJs()}
 		}
 	}
-	return cells, failedCells, nil
+	return cells, nil
 }
 
 // gridsFor computes the relative-IPC and relative-1/EDP grids for a
 // workload set, averaging per-benchmark normalized values (the paper's
 // per-app-normalize-then-average convention).
 //
-// Healthy sweeps take the original reduction verbatim, so their grids
-// stay byte-identical to the pre-resilience code. When cells failed
-// under collect/degrade, the reduction degrades: each grid point
-// averages over the benchmarks that measured it (a benchmark whose
-// (1,1) base failed contributes nothing), and points with no healthy
-// contributor are marked Missing.
+// A grid point averages over the benchmarks that measured both it and
+// their (1,1) base; each term is divided by that count before it is
+// added, in benchmark order, so a healthy sweep (every count is
+// len(names)) keeps the original arithmetic bit for bit. Points with
+// no healthy contributor after a collect sweep are marked Missing.
 func gridsFor(set string, o Options) (ipc, invEDP *GridData, err error) {
 	names := specGroup(set, o.Quick)
 	ipc = &GridData{Workload: set, Metric: "IPC", Rel: map[[2]int]float64{}}
 	invEDP = &GridData{Workload: set, Metric: "1/EDP", Rel: map[[2]int]float64{}}
-	type benchCells struct {
-		cells map[[2]int]cellMetrics
-	}
-	all := make([]benchCells, 0, len(names))
-	degraded := false
+	var all []map[[2]int]cellMetrics // per benchmark; nil when its base failed
+	n := map[[2]int]int{}
 	for _, name := range names {
-		cells, failedCells, cerr := runGridCells(name, o)
+		cells, cerr := runGridCells(name, o)
 		if cerr != nil {
 			return nil, nil, cerr
 		}
-		if len(failedCells) > 0 {
-			degraded = true
+		if _, ok := cells[[2]int{1, 1}]; !ok {
+			cells = nil // nothing to normalize against
 		}
-		all = append(all, benchCells{cells})
+		for k := range cells {
+			n[k]++
+		}
+		all = append(all, cells)
 	}
-	if !degraded {
-		for _, bc := range all {
-			base := bc.cells[[2]int{1, 1}]
-			for k, c := range bc.cells {
-				ipc.Rel[k] += c.ipc / base.ipc / float64(len(names))
-				invEDP.Rel[k] += base.edpJs / c.edpJs / float64(len(names))
-			}
-		}
-		return ipc, invEDP, nil
-	}
-	ipcSum := map[[2]int]float64{}
-	edpSum := map[[2]int]float64{}
-	cnt := map[[2]int]int{}
-	for _, bc := range all {
-		base, ok := bc.cells[[2]int{1, 1}]
-		if !ok {
-			continue // base failed: nothing to normalize against
-		}
-		for _, b := range Axis {
-			for _, w := range Axis {
-				k := [2]int{w, b}
-				c, ok := bc.cells[k]
-				if !ok {
-					continue
-				}
-				ipcSum[k] += c.ipc / base.ipc
-				edpSum[k] += base.edpJs / c.edpJs
-				cnt[k]++
-			}
+	for _, cells := range all {
+		base := cells[[2]int{1, 1}]
+		for k, c := range cells {
+			ipc.Rel[k] += c.ipc / base.ipc / float64(n[k])
+			invEDP.Rel[k] += base.edpJs / c.edpJs / float64(n[k])
 		}
 	}
 	for _, b := range Axis {
 		for _, w := range Axis {
-			k := [2]int{w, b}
-			if cnt[k] == 0 {
+			if k := [2]int{w, b}; n[k] == 0 {
 				if ipc.Missing == nil {
 					ipc.Missing = map[[2]int]bool{}
 					invEDP.Missing = map[[2]int]bool{}
 				}
 				ipc.Missing[k] = true
 				invEDP.Missing[k] = true
-				continue
 			}
-			ipc.Rel[k] = ipcSum[k] / float64(cnt[k])
-			invEDP.Rel[k] = edpSum[k] / float64(cnt[k])
 		}
 	}
 	return ipc, invEDP, nil

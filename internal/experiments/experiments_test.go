@@ -333,10 +333,10 @@ func TestGridSVG(t *testing.T) {
 	}
 }
 
-// TestGridSVGDegraded: a grid whose cell failed under degrade renders
+// TestGridSVGDegraded: a grid whose cell failed under collect renders
 // that cell as FAIL, like its table, not as a measured 0.000.
 func TestGridSVGDegraded(t *testing.T) {
-	res := &Resilience{Mode: FailDegrade}
+	res := &Resilience{Mode: FailCollect}
 	if err := res.SetInject("panic:1"); err != nil {
 		t.Fatal(err)
 	}

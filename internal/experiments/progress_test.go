@@ -84,3 +84,22 @@ func TestThrottleProgressConcurrent(t *testing.T) {
 		t.Fatal("no deliveries at all")
 	}
 }
+
+// TestProgressCountsFailedCells: a collect sweep with a failed cell
+// still reaches total/total, so the throttled heartbeat's final 100%
+// line prints. One worker keeps the delivery order deterministic.
+func TestProgressCountsFailedCells(t *testing.T) {
+	res := &Resilience{Mode: FailCollect}
+	if err := res.SetInject("error:0"); err != nil {
+		t.Fatal(err)
+	}
+	var got [][2]int
+	o := Options{Quick: true, Instr: 4000, Parallelism: 1, Res: res,
+		Progress: func(done, total int) { got = append(got, [2]int{done, total}) }}
+	if _, err := Headline(o); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || got[len(got)-1] != [2]int{6, 6} {
+		t.Fatalf("progress calls = %v, want the last to be [6 6]", got)
+	}
+}

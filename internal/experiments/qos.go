@@ -74,7 +74,7 @@ func QoSSweep(o Options) ([]QoSRow, error) {
 			jobs = append(jobs, job{oi, pi})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
+	results, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
 		org, pol := orgs[j.org], policies[j.pol]
 		return runMulti(workload.MixHigh().ForCore, config.LPDDRTSI, org.nw, org.nb,
 			func(s *config.System) {
@@ -85,9 +85,6 @@ func QoSSweep(o Options) ([]QoSRow, error) {
 			}, o, env)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("qos", failed); err != nil {
 		return nil, err
 	}
 	var rows []QoSRow

@@ -69,7 +69,7 @@ func RelatedWork(o Options) ([]RelatedRow, error) {
 			jobs = append(jobs, job{name, pt})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
+	results, err := mapRuns(o, jobs, func(env runEnv, j job) (system.Result, error) {
 		mut := func(*config.System) {}
 		if k := j.pt.rankSubset; k > 1 {
 			mut = func(s *config.System) {
@@ -80,9 +80,6 @@ func RelatedWork(o Options) ([]RelatedRow, error) {
 		return runSingle(j.name, j.pt.Interface, j.pt.NW, j.pt.NB, mut, o, env)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("related-work", failed); err != nil {
 		return nil, err
 	}
 	type agg struct{ ipc, edp float64 }

@@ -1,6 +1,6 @@
 package experiments
 
-// Sweep resilience: Options.Res configures how mapRuns survives a bad
+// Sweep resilience: Options.Res configures how a sweep survives a bad
 // cell — per-cell panic isolation (parallel.MapPolicy), the failure
 // mode, per-run limits (system.Limits), a structured failure log that
 // flows into the Report's failures section, and checkpointing into the
@@ -62,14 +62,13 @@ const (
 	// FailFast aborts the campaign at the first failure, reporting the
 	// lowest-index failure of the sweep it occurred in.
 	FailFast FailMode = iota
-	// FailCollect runs every cell and records failures like
-	// FailDegrade, then makes the campaign verdict (Resilience.Err)
-	// non-nil so the CLI exits nonzero.
+	// FailCollect runs every cell, records every failure and checkpoints
+	// the healthy cells. Experiments with a partial form (the Fig. 8/9
+	// grids and the headline) reduce the healthy cells with the failed
+	// ones marked; every other sweep fails with a "no degraded form"
+	// error. Either way the campaign verdict (Resilience.Err) is non-nil,
+	// so the CLI exits nonzero.
 	FailCollect
-	// FailDegrade runs every cell, records failures, and lets the
-	// experiments reduce the healthy cells to partial results with the
-	// failed cells marked.
-	FailDegrade
 )
 
 // ParseFailMode maps a CLI flag value onto a FailMode.
@@ -79,10 +78,8 @@ func ParseFailMode(s string) (FailMode, error) {
 		return FailFast, nil
 	case "collect":
 		return FailCollect, nil
-	case "degrade":
-		return FailDegrade, nil
 	default:
-		return FailFast, fmt.Errorf("unknown fail mode %q (fail-fast | collect | degrade)", s)
+		return FailFast, fmt.Errorf("unknown fail mode %q (fail-fast | collect)", s)
 	}
 }
 
@@ -109,9 +106,8 @@ func CampaignKey(experiment string, o Options) string {
 // means.
 type Resilience struct {
 	// Mode decides what a failed cell does to the campaign: FailFast
-	// aborts at the first failure; FailCollect and FailDegrade both run
-	// every cell and report failures in the log (collect additionally
-	// makes Err() non-nil so the CLI exits nonzero).
+	// aborts at the first failure; FailCollect runs every cell and
+	// reports failures in the log.
 	Mode FailMode
 	// Timeout and EventBudget bound every run of the campaign
 	// (system.Limits.WallClock / EventBudget).
@@ -120,11 +116,10 @@ type Resilience struct {
 	// Store, when non-nil, checkpoints completed cells into the
 	// content-addressed result store and replays them on later runs of
 	// the same campaign — across resumes, -j widths and processes
-	// sharing the directory. StoreKey is this campaign's key within it
-	// (CampaignKey), binding entries to everything that influences
-	// results; different campaigns never share entries.
-	Store    *store.Store
-	StoreKey string
+	// sharing the directory. Entries are keyed by CampaignKey(o.Exp, o),
+	// which binds them to everything that influences results; different
+	// campaigns never share entries.
+	Store *store.Store
 	// OnDegrade, when non-nil, receives the one-line warning emitted
 	// when store writes fail mid-campaign. Nil prints to stderr. It
 	// fires at most once; the campaign itself never fails because its
@@ -176,7 +171,7 @@ func (r *Resilience) injectionAt(g int) string { return r.inject[g] }
 
 // beginSweep assigns the next sweep id and the campaign-cell base
 // index for a sweep of the given size. Sweeps begin serially (each
-// mapRuns call completes before the next starts), so ids and bases are
+// sweep completes before the next starts), so ids and bases are
 // deterministic.
 func (r *Resilience) beginSweep(total int) (base, sweep int) {
 	r.mu.Lock()
@@ -201,11 +196,11 @@ func storeCellAddr(sweep, cell int) string {
 // is exactly the bytes a completed run committed — and JSON round-trips
 // float64 exactly, so the decoded Result is bit-identical to the
 // original.
-func (r *Resilience) storeLookup(sweep, cell int) (system.Result, bool) {
+func (r *Resilience) storeLookup(key string, sweep, cell int) (system.Result, bool) {
 	if r.Store == nil {
 		return system.Result{}, false
 	}
-	data, ok := r.Store.Get(r.StoreKey, storeCellAddr(sweep, cell))
+	data, ok := r.Store.Get(key, storeCellAddr(sweep, cell))
 	if !ok {
 		return system.Result{}, false
 	}
@@ -233,7 +228,7 @@ func (r *Resilience) degrade(msg string) {
 // permissions, torn device) produces a single warning and the store's
 // own sticky write-disable — it never fails the cell, whose simulation
 // result is healthy.
-func (r *Resilience) storeCheckpoint(sweep, cell int, res system.Result) {
+func (r *Resilience) storeCheckpoint(key string, sweep, cell int, res system.Result) {
 	if r.Store == nil {
 		return
 	}
@@ -241,7 +236,7 @@ func (r *Resilience) storeCheckpoint(sweep, cell int, res system.Result) {
 	if err != nil {
 		return
 	}
-	if err := r.Store.Put(r.StoreKey, storeCellAddr(sweep, cell), payload); err != nil {
+	if err := r.Store.Put(key, storeCellAddr(sweep, cell), payload); err != nil {
 		r.storeWarn.Do(func() {
 			r.degrade("warning: " + err.Error())
 		})
@@ -249,14 +244,9 @@ func (r *Resilience) storeCheckpoint(sweep, cell int, res system.Result) {
 }
 
 // Err returns the campaign-level verdict once every sweep has run:
-// non-nil in collect mode when failures were recorded. Degrade mode
-// returns nil — partial results are the contract — and fail-fast
-// campaigns never reach this point with failures.
+// any recorded failure is an error.
 func (r *Resilience) Err() error {
-	if r.Log == nil {
-		return nil
-	}
-	if n := r.Log.Len(); n > 0 && r.Mode == FailCollect {
+	if n := r.Log.Len(); n > 0 {
 		return fmt.Errorf("sweep: %d cell(s) failed (failure records in the report)", n)
 	}
 	return nil
@@ -268,7 +258,7 @@ func (r *Resilience) Err() error {
 // context (Options.Ctx — the CLI's signal handler) rides along so an
 // interrupt cancels in-flight cells at the next watchdog check; the
 // armed watchdog is read-only and never perturbs results. o.Res must
-// be non-nil (mapRuns defaults it).
+// be non-nil (mapRunsMasked defaults it).
 func (o Options) limitsFor(g int) *system.Limits {
 	switch o.Res.injectionAt(g) {
 	case "timeout":
@@ -307,8 +297,12 @@ func (l *FailureLog) add(f ReportFailure) {
 	l.mu.Unlock()
 }
 
-// Len returns the number of recorded failures.
+// Len returns the number of recorded failures (none for a nil log, a
+// campaign that ran no sweep).
 func (l *FailureLog) Len() int {
+	if l == nil {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.fails)
@@ -342,19 +336,4 @@ func failureRecord(sweep int, te *parallel.TaskError) ReportFailure {
 		f.Stack = te.CleanStack()
 	}
 	return f
-}
-
-// partialUnsupported is the error an experiment returns when cells
-// failed under collect/degrade but its reduction has no degraded form.
-func partialUnsupported(exp string, failed []bool) error {
-	n := 0
-	for _, f := range failed {
-		if f {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	return fmt.Errorf("%s: %d cell(s) failed and this experiment's reduction has no degraded form; fix the failures and rerun with the same -store, or rerun with -fail-mode=fail-fast", exp, n)
 }

@@ -44,14 +44,14 @@ func headlineReport(t *testing.T, o Options) []byte {
 }
 
 // TestSweepParallelismResilience drives the fault-injection sweep at
-// several -j widths: the degraded report — healthy gains plus the
+// several -j widths: the collect-mode report — healthy gains plus the
 // deadline failure record with its diagnostic snapshot — must be
 // byte-identical whatever the worker count, because cells carry their
 // own seeds and limits and results reduce in job order. Under -race it
 // exercises concurrent panic isolation and failure collection.
 func TestSweepParallelismResilience(t *testing.T) {
 	mk := func(par int) []byte {
-		res := &Resilience{Mode: FailDegrade}
+		res := &Resilience{Mode: FailCollect}
 		if err := res.SetInject("timeout:3"); err != nil {
 			t.Fatal(err)
 		}
@@ -88,10 +88,10 @@ func TestSweepParallelismResilience(t *testing.T) {
 
 // TestDegradedSweepAcceptance is the issue's acceptance scenario: a
 // sweep with one injected panicking cell and one deadline-exceeding
-// cell completes under degrade, returns the healthy results, and
+// cell completes under collect, returns the healthy results, and
 // records both failures with their diagnostics.
 func TestDegradedSweepAcceptance(t *testing.T) {
-	res := &Resilience{Mode: FailDegrade}
+	res := &Resilience{Mode: FailCollect}
 	if err := res.SetInject("panic:1,timeout:3"); err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestDegradedSweepAcceptance(t *testing.T) {
 // the sanitizer's fatal-mode violation: siblings must complete and the
 // failure must be classified as a protocol violation.
 func TestProtocolViolationIsolated(t *testing.T) {
-	res := &Resilience{Mode: FailDegrade}
+	res := &Resilience{Mode: FailCollect}
 	o := resOpts(res)
 	jobs := []int{0, 1, 2, 3}
-	results, failed, err := mapRuns(o, jobs, func(_ runEnv, j int) (system.Result, error) {
+	results, failed, err := mapRunsMasked(o, jobs, func(_ runEnv, j int) (system.Result, error) {
 		if j == 2 {
 			panic(&check.FatalViolation{V: check.Violation{
 				Rule: check.RuleTRCD, Cmd: obs.CmdRD, At: 100, Earliest: 200}})
@@ -159,8 +159,8 @@ func TestProtocolViolationIsolated(t *testing.T) {
 	}
 }
 
-// TestCollectModeFailsCampaign: collect runs everything like degrade
-// but the campaign-level verdict is an error.
+// TestCollectModeFailsCampaign: collect runs every cell and reduces
+// the healthy ones, but the campaign-level verdict is an error.
 func TestCollectModeFailsCampaign(t *testing.T) {
 	res := &Resilience{Mode: FailCollect}
 	if err := res.SetInject("error:0"); err != nil {
@@ -172,16 +172,6 @@ func TestCollectModeFailsCampaign(t *testing.T) {
 	}
 	if err := res.Err(); err == nil || !strings.Contains(err.Error(), "1 cell(s) failed") {
 		t.Fatalf("campaign verdict = %v, want collect-mode failure", err)
-	}
-	res2 := &Resilience{Mode: FailDegrade}
-	if err := res2.SetInject("error:0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Headline(resOpts(res2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := res2.Err(); err != nil {
-		t.Fatalf("degrade-mode verdict = %v, want nil", err)
 	}
 }
 
@@ -229,14 +219,16 @@ func TestParseFailMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want FailMode
-	}{{"fail-fast", FailFast}, {"collect", FailCollect}, {"degrade", FailDegrade}} {
+	}{{"fail-fast", FailFast}, {"collect", FailCollect}} {
 		got, err := ParseFailMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseFailMode(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	if _, err := ParseFailMode("explode"); err == nil {
-		t.Fatal("ParseFailMode accepted garbage")
+	for _, bad := range []string{"explode", "degrade"} {
+		if _, err := ParseFailMode(bad); err == nil || !strings.Contains(err.Error(), "unknown fail mode") {
+			t.Fatalf("ParseFailMode(%q) = %v, want unknown fail mode", bad, err)
+		}
 	}
 }
 
@@ -245,7 +237,7 @@ func TestParseFailMode(t *testing.T) {
 // *parallel.TaskError carrying the cleaned stack — instead of crashing
 // the process.
 func TestMapRunsDefaultPanicIsFailure(t *testing.T) {
-	results, failed, err := mapRuns(Options{}, []int{0, 1, 2}, func(_ runEnv, j int) (system.Result, error) {
+	results, err := mapRuns(Options{}, []int{0, 1, 2}, func(_ runEnv, j int) (system.Result, error) {
 		if j == 1 {
 			panic("cell 1 explodes")
 		}
@@ -255,8 +247,8 @@ func TestMapRunsDefaultPanicIsFailure(t *testing.T) {
 	if !errors.As(err, &te) || !te.Panicked || te.Index != 1 {
 		t.Fatalf("err = %v, want the panicked cell 1 as a *parallel.TaskError", err)
 	}
-	if results != nil || failed != nil {
-		t.Fatalf("fail-fast sweep returned partial results: %v %v", results, failed)
+	if results != nil {
+		t.Fatalf("fail-fast sweep returned partial results: %v", results)
 	}
 	if st := te.CleanStack(); st == "" || !strings.Contains(st, "resilience_test.go") {
 		t.Fatalf("cleaned stack missing the panic site:\n%s", st)
@@ -283,7 +275,7 @@ func TestCampaignKey(t *testing.T) {
 // generous limits) must not change a healthy campaign's results.
 func TestResilientHealthySweepByteIdentical(t *testing.T) {
 	plain := headlineReport(t, resOpts(nil))
-	res := &Resilience{Mode: FailDegrade, Timeout: time.Hour, EventBudget: 1 << 40}
+	res := &Resilience{Mode: FailCollect, Timeout: time.Hour, EventBudget: 1 << 40}
 	armed := headlineReport(t, resOpts(res))
 	// The reports echo identical options either way; only the failures
 	// section could differ, and a healthy run must not have one.

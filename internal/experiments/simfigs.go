@@ -100,12 +100,9 @@ func Fig10(o Options) ([]Fig10Row, error) {
 			jobs = append(jobs, fig10Job{set: set, cfg: cfg})
 		}
 	}
-	results, failed, err := mapRuns(o, jobs,
+	results, err := mapRuns(o, jobs,
 		func(env runEnv, j fig10Job) (system.Result, error) { return j.run(o, env) })
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("fig10", failed); err != nil {
 		return nil, err
 	}
 
@@ -268,7 +265,7 @@ func Fig12(o Options, sets ...string) ([]Fig12Row, error) {
 			}
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j fig12Job) (system.Result, error) {
+	results, err := mapRuns(o, jobs, func(env runEnv, j fig12Job) (system.Result, error) {
 		if j.base {
 			return runSingle(j.name, config.LPDDRTSI, 1, 1, func(s *config.System) {
 				s.Ctrl.PagePolicy = config.OpenPage
@@ -282,9 +279,6 @@ func Fig12(o Options, sets ...string) ([]Fig12Row, error) {
 			}, o, env)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("fig12", failed); err != nil {
 		return nil, err
 	}
 
@@ -402,7 +396,7 @@ func Fig13(o Options) ([]Fig13Row, error) {
 			}
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j fig13Job) (system.Result, error) {
+	results, err := mapRuns(o, jobs, func(env runEnv, j fig13Job) (system.Result, error) {
 		mut := func(s *config.System) { s.Ctrl.PagePolicy = j.pol }
 		if j.name == "" {
 			return runMulti(multiProfile(j.w), config.LPDDRTSI, j.cfg[0], j.cfg[1], mut, o, env)
@@ -410,9 +404,6 @@ func Fig13(o Options) ([]Fig13Row, error) {
 		return runSingle(j.name, config.LPDDRTSI, j.cfg[0], j.cfg[1], mut, o, env)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("fig13", failed); err != nil {
 		return nil, err
 	}
 
@@ -509,16 +500,13 @@ func Fig14(o Options) ([]Fig14Row, error) {
 			}
 		}
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j fig14Job) (system.Result, error) {
+	results, err := mapRuns(o, jobs, func(env runEnv, j fig14Job) (system.Result, error) {
 		if j.name == "" {
 			return runMulti(multiProfile(j.w), j.iface, 1, 1, nil, o, env)
 		}
 		return runSingle(j.name, j.iface, 1, 1, nil, o, env)
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := partialUnsupported("fig14", failed); err != nil {
 		return nil, err
 	}
 
@@ -610,7 +598,7 @@ func Headline(o Options) (HeadlineResult, error) {
 	for _, name := range names {
 		jobs = append(jobs, headlineJob{name: name}, headlineJob{name: name, ubank: true})
 	}
-	results, failed, err := mapRuns(o, jobs, func(env runEnv, j headlineJob) (system.Result, error) {
+	results, failed, err := mapRunsMasked(o, jobs, func(env runEnv, j headlineJob) (system.Result, error) {
 		if j.ubank {
 			return runSingle(j.name, config.LPDDRTSI, 2, 8, nil, o, env)
 		}
@@ -620,17 +608,9 @@ func Headline(o Options) (HeadlineResult, error) {
 	if err != nil {
 		return out, err
 	}
-	if failed == nil {
-		for i := range names {
-			base, ub := results[2*i], results[2*i+1]
-			n := float64(len(names))
-			out.IPCGain += ub.IPC / base.IPC / n
-			out.InvEDPGain += base.Breakdown.EDPJs() / ub.Breakdown.EDPJs() / n
-		}
-		return out, nil
-	}
-	// Degraded reduction: a pair with either run failed contributes
-	// nothing; the gains average over the healthy pairs.
+	// A pair with either run failed (under -fail-mode=collect)
+	// contributes nothing; the gains average over the healthy pairs, so
+	// a healthy sweep averages over every benchmark.
 	pairOK := func(i int) bool { return !failed[2*i] && !failed[2*i+1] }
 	healthy := 0
 	for i := range names {
@@ -641,12 +621,12 @@ func Headline(o Options) (HeadlineResult, error) {
 	if healthy == 0 {
 		return out, fmt.Errorf("headline: every benchmark pair failed (failure records in the report)")
 	}
+	n := float64(healthy)
 	for i := range names {
 		if !pairOK(i) {
 			continue
 		}
 		base, ub := results[2*i], results[2*i+1]
-		n := float64(healthy)
 		out.IPCGain += ub.IPC / base.IPC / n
 		out.InvEDPGain += base.Breakdown.EDPJs() / ub.Breakdown.EDPJs() / n
 	}

@@ -15,9 +15,10 @@ import (
 
 	"microbank/internal/check/golden"
 	"microbank/internal/store"
+	"microbank/internal/system"
 )
 
-// storeRes builds a degrade-mode Resilience checkpointing into a store
+// storeRes builds a collect-mode Resilience checkpointing into a store
 // at dir, collecting degrade warnings instead of printing them.
 func storeRes(t *testing.T, dir string, fsys store.FS, warns *[]string) *Resilience {
 	t.Helper()
@@ -25,12 +26,47 @@ func storeRes(t *testing.T, dir string, fsys store.FS, warns *[]string) *Resilie
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
-	r := &Resilience{Mode: FailDegrade, Store: s}
-	r.StoreKey = CampaignKey("headline", resOpts(r))
+	r := &Resilience{Mode: FailCollect, Store: s}
 	if warns != nil {
 		r.OnDegrade = func(msg string) { *warns = append(*warns, msg) }
 	}
 	return r
+}
+
+// storeOpts is resOpts for a store-backed headline campaign: the store
+// keys its entries by CampaignKey(o.Exp, o), as the CLI's -store does.
+func storeOpts(r *Resilience) Options {
+	o := resOpts(r)
+	o.Exp = "headline"
+	return o
+}
+
+// TestStoreKeyedByCampaign: campaigns that share a store directory
+// replay only their own cells. The key is derived from the experiment
+// name and options, so a store-backed Resilience needs no key of its
+// own.
+func TestStoreKeyedByCampaign(t *testing.T) {
+	dir := t.TempDir()
+	sweep := func(exp string) (ran int, st store.Stats) {
+		r := storeRes(t, dir, nil, nil)
+		o := Options{Quick: true, Parallelism: 1, Exp: exp, Res: r}
+		if _, err := mapRuns(o, []int{1, 2}, func(_ runEnv, j int) (system.Result, error) {
+			ran++
+			return system.Result{IPC: float64(j)}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ran, r.Store.Stats()
+	}
+	if ran, _ := sweep("a"); ran != 2 {
+		t.Fatalf("first campaign simulated %d cells, want 2", ran)
+	}
+	if ran, st := sweep("b"); ran != 2 || st.Hits != 0 {
+		t.Fatalf("campaign b simulated %d cells with %d store hits; want 2 and 0 (it must not replay campaign a)", ran, st.Hits)
+	}
+	if ran, st := sweep("a"); ran != 0 || st.Hits != 2 {
+		t.Fatalf("rerun of campaign a simulated %d cells with %d store hits; want 0 and 2", ran, st.Hits)
+	}
 }
 
 // TestStoreSweepByteIdenticalAndShared is the tentpole acceptance
@@ -38,11 +74,11 @@ func storeRes(t *testing.T, dir string, fsys store.FS, warns *[]string) *Resilie
 // one, and a second campaign over the same store simulates nothing —
 // every cell replays from disk.
 func TestStoreSweepByteIdenticalAndShared(t *testing.T) {
-	plain := headlineReport(t, resOpts(&Resilience{Mode: FailDegrade}))
+	plain := headlineReport(t, storeOpts(&Resilience{Mode: FailCollect}))
 
 	dir := t.TempDir()
 	r1 := storeRes(t, dir, nil, nil)
-	first := headlineReport(t, resOpts(r1))
+	first := headlineReport(t, storeOpts(r1))
 	if !bytes.Equal(first, plain) {
 		t.Fatalf("store-backed report drifted from plain run:\n%s", golden.Diff(plain, first))
 	}
@@ -54,7 +90,7 @@ func TestStoreSweepByteIdenticalAndShared(t *testing.T) {
 	// A different process (modeled as a fresh handle over the same
 	// directory) re-running the same campaign: all cells replay.
 	r2 := storeRes(t, dir, nil, nil)
-	second := headlineReport(t, resOpts(r2))
+	second := headlineReport(t, storeOpts(r2))
 	if !bytes.Equal(second, plain) {
 		t.Fatalf("replayed report drifted:\n%s", golden.Diff(plain, second))
 	}
@@ -69,9 +105,9 @@ func TestStoreSweepByteIdenticalAndShared(t *testing.T) {
 // still produce a byte-identical report — degrade, never a crash or a
 // silently wrong result.
 func TestStoreCorruptEntryResimulated(t *testing.T) {
-	plain := headlineReport(t, resOpts(&Resilience{Mode: FailDegrade}))
+	plain := headlineReport(t, storeOpts(&Resilience{Mode: FailCollect}))
 	dir := t.TempDir()
-	headlineReport(t, resOpts(storeRes(t, dir, nil, nil)))
+	headlineReport(t, storeOpts(storeRes(t, dir, nil, nil)))
 
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -99,7 +135,7 @@ func TestStoreCorruptEntryResimulated(t *testing.T) {
 	}
 
 	r := storeRes(t, dir, nil, nil)
-	got := headlineReport(t, resOpts(r))
+	got := headlineReport(t, storeOpts(r))
 	if !bytes.Equal(got, plain) {
 		t.Fatalf("post-corruption report drifted:\n%s", golden.Diff(plain, got))
 	}
@@ -129,11 +165,11 @@ func TestResumeByteIdenticalReport(t *testing.T) {
 		}
 		return r
 	}
-	want := headlineReport(t, resOpts(newRes(t.TempDir())))
+	want := headlineReport(t, storeOpts(newRes(t.TempDir())))
 
 	// Interrupted run: complete once, then cut the store down.
 	dir := t.TempDir()
-	headlineReport(t, resOpts(newRes(dir)))
+	headlineReport(t, storeOpts(newRes(dir)))
 	entries, err := filepath.Glob(filepath.Join(dir, "*.res"))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +197,7 @@ func TestResumeByteIdenticalReport(t *testing.T) {
 
 	// Resume from the interrupted store.
 	r := newRes(dir)
-	got := headlineReport(t, resOpts(r))
+	got := headlineReport(t, storeOpts(r))
 	if st := r.Store.Stats(); st.Hits != 2 || st.Quarantined != 1 {
 		t.Fatalf("resume stats = %+v, want 2 hits (the surviving entries) and 1 quarantined (the torn one)", st)
 	}
@@ -185,8 +221,8 @@ func TestStoreWriteFailureDegrades(t *testing.T) {
 	efs.Inject(store.Fault{Op: store.OpWrite, Match: "tmp",
 		Count: 1 << 20, Err: store.ErrNoSpace})
 
-	plain := headlineReport(t, resOpts(&Resilience{Mode: FailDegrade}))
-	got := headlineReport(t, resOpts(r))
+	plain := headlineReport(t, storeOpts(&Resilience{Mode: FailCollect}))
+	got := headlineReport(t, storeOpts(r))
 	if !bytes.Equal(got, plain) {
 		t.Fatalf("store-degraded report drifted from plain run:\n%s", golden.Diff(plain, got))
 	}

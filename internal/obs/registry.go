@@ -99,10 +99,6 @@ func (r *Registry) Histogram(name string, labels ...Label) *stats.Histogram {
 	return h
 }
 
-// NumMetrics returns the number of registered metrics (histograms count
-// once, not per expanded series).
-func (r *Registry) NumMetrics() int { return len(r.entries) }
-
 // histSuffixes are the expanded series of one histogram.
 var histSuffixes = [...]string{".count", ".mean", ".p50", ".p99", ".max"}
 

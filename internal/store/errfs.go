@@ -64,7 +64,6 @@ type ErrFS struct {
 
 	mu     sync.Mutex
 	faults []*armedFault
-	log    []string // operation log, for test assertions
 }
 
 type armedFault struct {
@@ -95,20 +94,10 @@ func (e *ErrFS) Inject(f Fault) {
 	e.mu.Unlock()
 }
 
-// Ops returns the logged operations (op + path), for assertions about
-// what the code under test actually touched.
-func (e *ErrFS) Ops() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]string(nil), e.log...)
-}
-
-// check logs the operation and returns the armed fault that claims it,
-// if any.
+// check returns the armed fault that claims the operation, if any.
 func (e *ErrFS) check(op Op, path string) *Fault {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.log = append(e.log, string(op)+" "+path)
 	for _, f := range e.faults {
 		if f.Op != op || !strings.Contains(path, f.Match) || f.fired >= f.Count {
 			continue

@@ -53,9 +53,6 @@ type Limits struct {
 	// CheckEvents is the watchdog period in fired events (default
 	// defaultCheckEvents).
 	CheckEvents uint64
-	// StallWindows is the livelock threshold in consecutive watchdog
-	// windows with a frozen sim clock (default defaultStallWindows).
-	StallWindows int
 	// OnDiag, when non-nil, receives a fresh machine diagnostic snapshot
 	// at every watchdog check (the live-observability feed behind
 	// /status). It runs on the simulation goroutine and must not block
@@ -72,10 +69,10 @@ func (l *Limits) armed() bool {
 }
 
 // enforced reports whether any limit can actually trip. The livelock
-// detector counts as enforcement support: it is active exactly when
-// some limit is, so an OnDiag-only watchdog adds no failure modes.
+// detector (defaultStallWindows) is active exactly when some limit is,
+// so an OnDiag-only watchdog adds no failure modes.
 func (l *Limits) enforced() bool {
-	return l != nil && (l.Ctx != nil || l.WallClock > 0 || l.EventBudget > 0 || l.StallWindows > 0)
+	return l != nil && (l.Ctx != nil || l.WallClock > 0 || l.EventBudget > 0)
 }
 
 // Diag is a snapshot of the machine at the moment a limit tripped —
@@ -162,10 +159,6 @@ func (m *machine) armWatchdog(l *Limits) {
 	if check == 0 {
 		check = defaultCheckEvents
 	}
-	windows := l.StallWindows
-	if windows <= 0 {
-		windows = defaultStallWindows
-	}
 	var deadline time.Time
 	if l.WallClock > 0 {
 		deadline = time.Now().Add(l.WallClock)
@@ -201,7 +194,7 @@ func (m *machine) armWatchdog(l *Limits) {
 		}
 		if now := e.Now(); now != lastNow {
 			lastNow, frozen = now, 0
-		} else if frozen++; frozen >= windows {
+		} else if frozen++; frozen >= defaultStallWindows {
 			return &LimitError{Kind: LimitLivelock,
 				Msg: fmt.Sprintf("livelock: sim clock frozen across %d watchdog windows (%d events)",
 					frozen, uint64(frozen)*check),

@@ -106,9 +106,10 @@ func TestLimitsDoNotPerturbResults(t *testing.T) {
 
 func TestLivelockDetectorIgnoresProgress(t *testing.T) {
 	// A healthy run advances its clock constantly; the livelock
-	// detector armed alone must never trip on it.
+	// detector must never trip on it. An unreachable event budget arms
+	// the detector without adding a limit that can trip.
 	spec := singleSpec("429.mcf", 1, 1, 8000)
-	spec.Limits = &Limits{StallWindows: 2, CheckEvents: 64}
+	spec.Limits = &Limits{EventBudget: 1 << 62, CheckEvents: 64}
 	if _, err := Run(spec); err != nil {
 		t.Fatalf("livelock detector tripped on a healthy run: %v", err)
 	}
